@@ -293,7 +293,7 @@ def sort(
             layout=file_layout,
         )
         return execute_plan(
-            Planner(config=config).plan(descriptor),
+            Planner(config=config, native=native).plan(descriptor),
             output_path=output,
             pair_packing=pair_packing,
             spool_dir=spool_dir,

@@ -437,7 +437,7 @@ def cmd_sort_file(args) -> int:
     print(f"memory budget   : {budget:,} B")
     print(
         f"runs            : {report.n_runs} x <= {report.run_records:,} "
-        f"records (workers={report.workers})"
+        f"records (workers={report.workers}; {report.slice_summary})"
     )
     if report.reused_runs:
         print(f"resumed         : reused {report.reused_runs} run(s)")

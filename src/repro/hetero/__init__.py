@@ -5,8 +5,9 @@
   (Figure 5).
 * :mod:`repro.hetero.pipeline` — event-driven simulation of the
   overlapped HtD / on-GPU sort / DtH pipeline (Figure 4).
-* :mod:`repro.hetero.merge` — the CPU multiway merge: a functional
-  loser-tree k-way merge plus the six-core cost model.
+* :mod:`repro.hetero.merge` — the CPU multiway merge: the chunk runs
+  through the repo's one bits-space k-way merge, plus the six-core
+  cost model.
 * :mod:`repro.hetero.sorter` — the end-to-end heterogeneous sorter and
   its analytic T_EtE decomposition.
 """

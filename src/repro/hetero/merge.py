@@ -1,18 +1,22 @@
-"""CPU multiway merge (§5): functional loser-tree merge + cost model.
+"""CPU multiway merge (§5): the chunk-run merge + its cost model.
 
 The heterogeneous sort leaves the CPU "with the task of merging the s
 chunks into one final sorted sequence" using "the parallel multiway merge
-... from the parallel extension of stdlibc++".  The functional
-implementation here is a loser-tree k-way merge (with a NumPy fast path
-for modest chunk counts); the cost model reproduces the six-core host's
-behaviour: it merges at streaming bandwidth up to a width of four, and
-wider inputs need multiple passes — which is exactly why Figure 8's
-optimum sits at s = 4 on that machine.
+... from the parallel extension of stdlibc++".  The functional merge
+here is the repo's one bits-space k-way merge: chunk runs go through
+:func:`repro.shard.merge.merge_shard_records` (fan-in, the
+ordered-disjoint shortcut, then the bounded-lookahead core
+:func:`repro.external.merge.drain_cursors`).  It compares §4.6 sortable
+bits, so floats merge in the engines' total order (NaNs last,
+``-0.0`` before ``+0.0``), and it breaks ties exactly as the chunk
+sorts do.  The cost model reproduces the six-core host's behaviour: it
+merges at streaming bandwidth up to a width of four, and wider inputs
+need multiple passes — which is exactly why Figure 8's optimum sits at
+s = 4 on that machine.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -23,37 +27,30 @@ from repro.errors import ConfigurationError
 
 __all__ = ["kway_merge", "kway_merge_pairs", "CpuMergeModel"]
 
+#: Unsigned dtype carrying a value's raw bits, by value width in bytes.
+_RAW_BITS = {
+    1: np.dtype(np.uint8),
+    2: np.dtype(np.uint16),
+    4: np.dtype(np.uint32),
+    8: np.dtype(np.uint64),
+}
+
 
 def kway_merge(runs: list[np.ndarray]) -> np.ndarray:
-    """Merge sorted runs into one sorted array (loser-tree semantics).
+    """Merge sorted key runs into one sorted array (bits-space order)."""
+    from repro.external.format import FileLayout
+    from repro.shard.merge import merge_shard_records
 
-    Uses :func:`heapq.merge`-style selection through a heap of run heads;
-    falls back to concatenate+sort only for degenerate inputs (0/1 runs).
-    """
     runs = [np.asarray(r) for r in runs if np.asarray(r).size > 0]
     if not runs:
         return np.empty(0, dtype=np.uint32)
-    if len(runs) == 1:
-        return runs[0].copy()
-    total = sum(r.size for r in runs)
-    out = np.empty(total, dtype=runs[0].dtype)
-    heap: list[tuple] = []
-    for ri, run in enumerate(runs):
-        heap.append((run[0], ri, 0))
-    heapq.heapify(heap)
-    pos = 0
-    while heap:
-        value, ri, idx = heapq.heappop(heap)
-        out[pos] = value
-        pos += 1
-        nxt = idx + 1
-        if nxt < runs[ri].size:
-            heapq.heappush(heap, (runs[ri][nxt], ri, nxt))
-    return out
+    return merge_shard_records(runs, FileLayout(runs[0].dtype))
 
 
 def kway_merge_pairs(
-    key_runs: list[np.ndarray], value_runs: list[np.ndarray]
+    key_runs: list[np.ndarray],
+    value_runs: list[np.ndarray],
+    pair_packing: str = "auto",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge sorted key runs with their value runs riding along.
 
@@ -62,15 +59,13 @@ def kway_merge_pairs(
     emitted in *run-index order*, and within one run in that run's
     order.  Consequently, when the runs are consecutive slices of one
     input — each sorted stably — the merge output equals one global
-    stable sort of that input.  The out-of-core sorter
-    (:func:`repro.external.merge.merge_runs`, which generalizes this
-    function to file-backed runs) relies on exactly this identity for
-    its byte-identical-to-in-memory guarantee; do not weaken the
-    tie-break.
+    stable sort of that input.  With ``pair_packing="fused"`` (and
+    words that fuse) ties order by value bits instead, matching the
+    fused engine that sorted the runs.
 
-    Empty runs are skipped *before* indexing, so run index means
-    "position among non-empty runs" — callers passing slices of one
-    input are unaffected (empty slices contribute no records).
+    Values ride as their raw bits, so any fixed-width value dtype
+    merges; values with no word-sized bit view (wider dtypes, object
+    references) ride as row positions and are gathered after.
 
     Parameters
     ----------
@@ -78,33 +73,35 @@ def kway_merge_pairs(
         Parallel lists; ``key_runs[i]`` must be sorted ascending and
         ``value_runs[i]`` carries its per-record payloads.
     """
+    from repro.external.format import FileLayout
+    from repro.shard.merge import merge_shard_records
+
     if len(key_runs) != len(value_runs):
         raise ConfigurationError("key and value run lists must be parallel")
     pairs = [
-        (np.asarray(k), np.asarray(v))
+        (np.asarray(k), np.ascontiguousarray(v))
         for k, v in zip(key_runs, value_runs)
         if np.asarray(k).size > 0
     ]
     if not pairs:
         return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint32)
-    keys0, values0 = pairs[0]
-    total = sum(k.size for k, _ in pairs)
-    out_keys = np.empty(total, dtype=keys0.dtype)
-    out_values = np.empty(total, dtype=values0.dtype)
-    heap: list[tuple] = []
-    for ri, (k, _) in enumerate(pairs):
-        heap.append((k[0], ri, 0))
-    heapq.heapify(heap)
-    pos = 0
-    while heap:
-        key, ri, idx = heapq.heappop(heap)
-        out_keys[pos] = key
-        out_values[pos] = pairs[ri][1][idx]
-        pos += 1
-        nxt = idx + 1
-        if nxt < pairs[ri][0].size:
-            heapq.heappush(heap, (pairs[ri][0][nxt], ri, nxt))
-    return out_keys, out_values
+    value_dtype = pairs[0][1].dtype
+    raw = None if value_dtype.hasobject else _RAW_BITS.get(value_dtype.itemsize)
+    if raw is None:
+        start = np.cumsum([0] + [k.size for k, _ in pairs])
+        keys, rows = kway_merge_pairs(
+            [k for k, _ in pairs],
+            [np.arange(lo, hi) for lo, hi in zip(start, start[1:])],
+        )
+        return keys, np.concatenate([v for _, v in pairs])[rows]
+    layout = FileLayout(pairs[0][0].dtype, raw)
+    merged = merge_shard_records(
+        [layout.to_records(k, v.view(raw)) for k, v in pairs],
+        layout,
+        pair_packing=pair_packing,
+    )
+    keys, values = layout.to_columns(merged)
+    return keys, values.view(value_dtype)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,11 @@ multiway-merges the sorted runs on the CPU:
 Two entry points:
 
 * :meth:`HeterogeneousSorter.sort` — functional: really sorts NumPy
-  arrays chunk-by-chunk and merges them, attaching the simulated
-  pipeline timing.  Used by the tests and the out-of-core example.
+  arrays chunk-by-chunk, each chunk on the plan's slice tier (compiled
+  native or the simulated hybrid), merges the runs in bits space, and
+  attaches the simulated pipeline timing.  A chunk sorted on a tier
+  with no simulated device takes the plan's priced per-chunk time.
+  Used by the tests and the ``repro.sort(..., memory_budget=)`` facade.
 * :meth:`HeterogeneousSorter.simulate` — model-only: prices an input of
   tens of gigabytes from a distribution sample (Figures 8 and 9) without
   materialising it.
@@ -24,13 +27,13 @@ import numpy as np
 
 from repro.bench.scaling import simulate_sort_at_scale
 from repro.core.config import SortConfig
-from repro.core.hybrid_sort import HybridRadixSorter
 from repro.errors import ConfigurationError
 from repro.gpu.pcie import PCIeLink
 from repro.gpu.spec import GPUSpec, TITAN_X_PASCAL
 from repro.hetero.chunking import ChunkPlan, plan_chunks
 from repro.hetero.merge import CpuMergeModel, kway_merge, kway_merge_pairs
 from repro.hetero.pipeline import PipelineSchedule, simulate_pipeline
+from repro.plan.executors import sort_on_tier
 
 __all__ = ["HeteroOutcome", "HeterogeneousSorter"]
 
@@ -115,7 +118,11 @@ class HeterogeneousSorter:
         The executor half of the plan/execute split: chunk boundaries
         come from the plan's :class:`~repro.hetero.chunking.ChunkPlan`
         alone, so whoever planned (this sorter, the ``repro.sort``
-        facade, a service layer) the output is identical.
+        facade, a service layer) the output is identical.  Every chunk
+        sorts on the plan's ``slice_tier`` through
+        :func:`~repro.plan.executors.sort_on_tier`; a native chunk that
+        degrades inline to hybrid is listed in
+        ``meta["resilience"]["downgrades"]`` with its ``slice`` index.
         """
         keys = np.asarray(keys)
         if keys.ndim != 1 or keys.size == 0:
@@ -126,21 +133,32 @@ class HeterogeneousSorter:
             values.dtype.itemsize if values is not None else 0
         )
         plan = sort_plan.chunk_plan
+        pipeline = sort_plan.step("chunked-pipeline").params
+        tier = pipeline["slice_tier"]
         bounds = np.linspace(0, keys.size, plan.n_chunks + 1).astype(np.int64)
         key_runs: list[np.ndarray] = []
         value_runs: list[np.ndarray] = []
+        downgrades: list[dict] = []
         upload, sorting, download = [], [], []
-        sorter = HybridRadixSorter(config=self.config)
         for c in range(plan.n_chunks):
             lo, hi = int(bounds[c]), int(bounds[c + 1])
             chunk_values = values[lo:hi] if values is not None else None
-            result = sorter.sort(keys[lo:hi], chunk_values)
+            result = sort_on_tier(
+                tier, keys[lo:hi], chunk_values, self.config, slice_index=c
+            )
             key_runs.append(result.keys)
             if values is not None:
                 value_runs.append(result.values)
+            if "resilience" in result.meta:
+                downgrades += result.meta["resilience"]["downgrades"]
             chunk_bytes = (hi - lo) * record_bytes
             upload.append(self.link.transfer_time(chunk_bytes))
-            sorting.append(result.simulated_seconds)
+            # A tier with no simulated device takes the planned price.
+            sorting.append(
+                result.simulated_seconds
+                if result.meta["engine"] == "hybrid"
+                else pipeline["chunk_sort_seconds"][c]
+            )
             download.append(self.link.transfer_time(chunk_bytes))
         schedule = simulate_pipeline(
             upload, sorting, download, self.in_place_replacement
@@ -151,9 +169,24 @@ class HeterogeneousSorter:
             record_bytes=record_bytes,
         )
         if values is not None:
-            merged_keys, merged_values = kway_merge_pairs(key_runs, value_runs)
+            merged_keys, merged_values = kway_merge_pairs(
+                key_runs,
+                value_runs,
+                pair_packing=(
+                    "auto" if self.config is None
+                    else self.config.pair_packing
+                ),
+            )
         else:
             merged_keys, merged_values = kway_merge(key_runs), None
+        meta = {"plan": sort_plan, "slice_tier": tier}
+        if downgrades:
+            meta["resilience"] = {
+                "requested": tier,
+                "executed": "hybrid",
+                "retries": 0,
+                "downgrades": downgrades,
+            }
         return HeteroOutcome(
             plan=plan,
             schedule=schedule,
@@ -161,7 +194,7 @@ class HeterogeneousSorter:
             merge_seconds=merge_seconds,
             keys=merged_keys,
             values=merged_values,
-            meta={"plan": sort_plan},
+            meta=meta,
         )
 
     # ------------------------------------------------------------------

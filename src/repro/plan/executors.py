@@ -23,7 +23,12 @@ from repro.errors import ConfigurationError
 from repro.plan.ir import SortPlan
 from repro.types import SortResult
 
-__all__ = ["ExecutorRegistry", "DEFAULT_REGISTRY", "execute_plan"]
+__all__ = [
+    "ExecutorRegistry",
+    "DEFAULT_REGISTRY",
+    "execute_plan",
+    "sort_on_tier",
+]
 
 
 class ExecutorRegistry:
@@ -78,6 +83,74 @@ def _merged_config(plan: SortPlan, config):
     )
 
 
+def sort_on_tier(
+    tier: str,
+    keys: np.ndarray,
+    values: np.ndarray | None = None,
+    config=None,
+    device=None,
+    slice_index: int | None = None,
+) -> SortResult:
+    """Sort one in-memory array on an in-memory tier.
+
+    ``tier`` is ``"native"`` or ``"hybrid"``: the choice
+    :meth:`~repro.plan.planner.Planner.slice_tier` records in a plan.
+    Whole-array plans and every slice of a chunked or file plan
+    (``slice_index`` set) sort through here.  The native tier degrades
+    *inline* to the hybrid engine when the extension is missing or a
+    kernel call fails, recording the downgrade in
+    ``result.meta["resilience"]``: a plan that says "native" never
+    fails for tier reasons.  The tiers are byte-identical, so the
+    downgrade costs speed, never the answer.  A slice's native sort is
+    also the ``engine.native`` fault site (a whole-array plan trips it
+    at its executor rung instead), so a fault injected there degrades
+    just that slice.
+    """
+    from repro.core.hybrid_sort import HybridRadixSorter
+
+    downgrade = None
+    if tier == "native":
+        from repro.errors import (
+            NativeExecutionError,
+            NativeUnavailableError,
+            TransientError,
+        )
+
+        try:
+            if slice_index is not None:
+                from repro.resilience import faults
+
+                faults.trip("engine.native")
+            from repro.native.engine import NativeRadixEngine
+
+            result = NativeRadixEngine(config=config).sort(keys, values)
+        except (
+            NativeUnavailableError, NativeExecutionError, TransientError
+        ) as exc:
+            downgrade = {
+                "engine": "native",
+                "error": f"{type(exc).__name__}: {exc}",
+            }
+            if slice_index is not None:
+                downgrade["slice"] = slice_index
+        else:
+            result.meta["engine"] = "native"
+            return result
+    result = HybridRadixSorter(config=config, device=device).sort(keys, values)
+    result.meta["engine"] = "hybrid"
+    if downgrade is not None:
+        from repro.native.build import native_status
+
+        result.meta["resilience"] = {
+            "requested": "native",
+            "executed": "hybrid",
+            "retries": 0,
+            "downgrades": [downgrade],
+            "native": native_status(warn=False).reason,
+        }
+    return result
+
+
 def _execute_hybrid(
     plan: SortPlan,
     keys: np.ndarray,
@@ -86,13 +159,9 @@ def _execute_hybrid(
     device=None,
     **_: object,
 ) -> SortResult:
-    from repro.core.hybrid_sort import HybridRadixSorter
-
-    sorter = HybridRadixSorter(
-        config=_merged_config(plan, config), device=device
+    result = sort_on_tier(
+        "hybrid", keys, values, _merged_config(plan, config), device
     )
-    result = sorter.sort(keys, values)
-    result.meta["engine"] = "hybrid"
     result.meta["plan"] = plan
     return result
 
@@ -128,13 +197,20 @@ def _execute_hetero(
         config=_merged_config(plan, config),
     )
     outcome = sorter.run_plan(plan, keys, values)
-    result = SortResult(
+    meta = {
+        "engine": "hetero",
+        "plan": plan,
+        "outcome": outcome,
+        "slice_tier": outcome.meta["slice_tier"],
+    }
+    if "resilience" in outcome.meta:
+        meta["resilience"] = outcome.meta["resilience"]
+    return SortResult(
         keys=outcome.keys,
         values=outcome.values,
         simulated_seconds=outcome.total_seconds,
-        meta={"engine": "hetero", "plan": plan, "outcome": outcome},
+        meta=meta,
     )
-    return result
 
 
 def _execute_external(
@@ -205,40 +281,13 @@ def _execute_native(
 
     Top rung of the in-memory ladder: byte-identical to ``hybrid`` by
     construction (property-pinned in ``tests/native/``), just compiled.
-    A missing extension or a failed kernel call degrades *inline* to
-    the hybrid executor with the downgrade recorded in
-    ``result.meta["resilience"]`` — a plan that says "native" never
-    fails for tier-availability reasons, even outside
-    ``resilient_execute``.  The native engine models no device and
-    reports no simulated time.
+    A missing extension or a failed kernel call degrades inline to the
+    hybrid engine (:func:`sort_on_tier`).  The native engine models no
+    device and reports no simulated time.
     """
-    from repro.errors import NativeExecutionError, NativeUnavailableError
-    from repro.native.build import native_status
-
-    merged = _merged_config(plan, config)
-    try:
-        from repro.native.engine import NativeRadixEngine
-
-        engine = NativeRadixEngine(config=merged)
-        result = engine.sort(keys, values)
-    except (NativeUnavailableError, NativeExecutionError) as exc:
-        result = _execute_hybrid(
-            plan, keys, values=values, config=config, device=device
-        )
-        result.meta["resilience"] = {
-            "requested": "native",
-            "executed": "hybrid",
-            "retries": 0,
-            "downgrades": [
-                {
-                    "engine": "native",
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            ],
-            "native": native_status(warn=False).reason,
-        }
-        return result
-    result.meta["engine"] = "native"
+    result = sort_on_tier(
+        "native", keys, values, _merged_config(plan, config), device
+    )
     result.meta["plan"] = plan
     return result
 

@@ -231,9 +231,10 @@ class Planner:
         return self._plan_hybrid(descriptor, note)
 
     def _native_choice(
-        self, descriptor: InputDescriptor
+        self, descriptor: InputDescriptor, n: int | None = None
     ) -> tuple[bool, str]:
-        """Decide whether the in-memory plan runs the compiled tier.
+        """Decide whether an in-memory sort of ``n`` records (the whole
+        input by default) runs the compiled tier.
 
         Returns ``(use_native, note)`` — the note explains the choice
         either way and is attached to the resulting plan, so
@@ -242,6 +243,8 @@ class Planner:
         """
         from repro.native.build import native_status
 
+        if n is None:
+            n = descriptor.n
         if self.native == "never":
             return False, "native tier disabled for this planner"
         if self.native == "always":
@@ -258,15 +261,28 @@ class Planner:
                 "native tier skipped: explicit sort_bits is a NumPy-"
                 "tier-only lever"
             )
-        if descriptor.n < NATIVE_MIN_KEYS:
+        if n < NATIVE_MIN_KEYS:
             return False, (
-                f"native tier skipped: {descriptor.n:,} records fall "
+                f"native tier skipped: {n:,} records fall "
                 f"short of the {NATIVE_MIN_KEYS:,}-record floor"
             )
         status = native_status()
         if not status.available:
             return False, f"native tier unavailable: {status.reason}"
         return True, f"native tier selected: {status.reason}"
+
+    def slice_tier(
+        self, descriptor: InputDescriptor, n: int
+    ) -> tuple[str, str]:
+        """The tier every ``n``-record slice of a chunked or file plan
+        sorts on: ``("native" | "hybrid", note)``.
+
+        The in-memory rule (:meth:`_native_choice`) applied to the
+        slice size, so the §5 paths run the engines the in-memory
+        planner already trusts.
+        """
+        use_native, note = self._native_choice(descriptor, n)
+        return ("native" if use_native else "hybrid"), f"slices: {note}"
 
     # ------------------------------------------------------------------
     # Strategy planners
@@ -313,30 +329,8 @@ class Planner:
         self, descriptor: InputDescriptor, note: str
     ) -> SortPlan:
         """One in-memory sort through the compiled counting-scatter."""
-        from repro.core.digits import native_pass_plan
-
-        config = self._config_for(descriptor)
-        n = descriptor.n
-        # The engine sorts the key field of whichever word layout the
-        # pair packing selects; the partition/LSD schedule over the key
-        # bits is the same either way, so price that.
-        msd_width, inner = native_pass_plan(config.key_bits)
-        passes = (1 if msd_width else 0) + len(inner)
-        bytes_moved = 3 * passes * n * descriptor.record_bytes
-        if self.host is not None:
-            native_seconds = self.host.native_seconds(descriptor, bytes_moved)
-        else:
-            native_seconds = self._stream_seconds(descriptor, bytes_moved)
-        step = PlanStep(
-            kind="native-lsd",
-            params={
-                "n": n,
-                "expected_passes": passes,
-                "msd_bits": msd_width,
-                "inner_widths": "+".join(str(w) for w in inner),
-            },
-            predicted_seconds=native_seconds,
-            bytes_moved=bytes_moved,
+        step = self._native_step(
+            descriptor, self._config_for(descriptor), descriptor.n
         )
         return SortPlan(
             descriptor=descriptor,
@@ -344,8 +338,8 @@ class Planner:
             engine="NativeRadixEngine",
             steps=(step,),
             reason=(
-                f"{n:,} in-memory records; compiled counting-scatter "
-                f"with write-combined MSD partition"
+                f"{descriptor.n:,} in-memory records; compiled "
+                f"counting-scatter with write-combined MSD partition"
             ),
             notes=(note,),
             cost_source=self._cost_source,
@@ -418,12 +412,16 @@ class Planner:
         )
         link = PCIeLink.for_spec(descriptor.spec)
         record_bytes = descriptor.record_bytes
+        # The executor cuts equal slices (HeterogeneousSorter.run_plan).
+        tier, tier_note = self.slice_tier(
+            descriptor, -(-descriptor.n // chunk_plan.n_chunks)
+        )
         upload, sorting, download = [], [], []
         for chunk_bytes in chunk_plan.chunk_sizes:
             chunk_records = max(1, chunk_bytes // record_bytes)
             upload.append(link.transfer_time(chunk_bytes))
             sorting.append(
-                self._msd_step(descriptor, config, chunk_records)
+                self._slice_step(descriptor, config, chunk_records, tier)
                 .predicted_seconds
             )
             download.append(link.transfer_time(chunk_bytes))
@@ -436,7 +434,9 @@ class Planner:
                 "n_chunks": chunk_plan.n_chunks,
                 "chunk_bytes": chunk_plan.chunk_bytes,
                 "in_place_replacement": chunk_plan.in_place_replacement,
+                "slice_tier": tier,
                 "chunk_plan": chunk_plan,
+                "chunk_sort_seconds": tuple(sorting),
             },
             predicted_seconds=schedule.makespan,
             bytes_moved=2 * descriptor.total_bytes,
@@ -460,6 +460,7 @@ class Planner:
                 f"{'memory budget' if budgeted else 'device memory'}; "
                 f"{chunk_plan.n_chunks} pipelined chunks + host merge"
             ),
+            notes=(tier_note,),
             cost_source=self._cost_source,
             profile_fingerprint=self._fingerprint,
         )
@@ -553,10 +554,12 @@ class Planner:
         budget = descriptor.memory_budget or DEFAULT_MEMORY_BUDGET
         config = self._config_for(descriptor)
         run_plan = plan_runs(descriptor.n, descriptor.record_bytes, budget)
+        tier, tier_note = self.slice_tier(descriptor, run_plan.run_records)
         total = descriptor.total_bytes
         if self.host is not None:
             # The spill probe folds sort cost into the measured
-            # read+sort+write rate; the merge probe measured the
+            # read+sort+write rate (its slices take the tier this rule
+            # picks at the probe's size); the merge probe measured the
             # single streaming k-way pass the executor actually runs.
             spill_seconds = self.host.spill_seconds(total)
             merge_seconds = self.host.external_merge_seconds(total)
@@ -568,11 +571,11 @@ class Planner:
                 sort_seconds = 0.0
             else:
                 tail_records = run_plan.bounds[-1] - run_plan.bounds[-2]
-                full_seconds = self._msd_step(
-                    descriptor, config, max(1, run_plan.run_records)
+                full_seconds = self._slice_step(
+                    descriptor, config, max(1, run_plan.run_records), tier
                 ).predicted_seconds
-                tail_seconds = self._msd_step(
-                    descriptor, config, max(1, tail_records)
+                tail_seconds = self._slice_step(
+                    descriptor, config, max(1, tail_records), tier
                 ).predicted_seconds
                 sort_seconds = (
                     full_seconds * (run_plan.n_runs - 1) + tail_seconds
@@ -593,6 +596,7 @@ class Planner:
                 "run_records": run_plan.run_records,
                 "memory_budget": budget,
                 "workers": descriptor.workers,
+                "slice_tier": tier,
                 "run_plan": run_plan,
             },
             predicted_seconds=spill_seconds,
@@ -614,6 +618,7 @@ class Planner:
                 f"run(s) of ≤ {run_plan.run_records:,} records, then a "
                 f"streaming merge"
             ),
+            notes=(tier_note,),
             cost_source=self._cost_source,
             profile_fingerprint=self._fingerprint,
         )
@@ -651,6 +656,46 @@ class Planner:
             total_bytes=total_bytes,
             n_runs=n_runs,
             record_bytes=record_bytes,
+        )
+
+    def _slice_step(
+        self,
+        descriptor: InputDescriptor,
+        config: SortConfig,
+        n: int,
+        tier: str,
+    ) -> PlanStep:
+        """Price ``n`` records on the in-memory ``tier``."""
+        if tier == "native":
+            return self._native_step(descriptor, config, n)
+        return self._msd_step(descriptor, config, n)
+
+    def _native_step(
+        self, descriptor: InputDescriptor, config: SortConfig, n: int
+    ) -> PlanStep:
+        """Price ``n`` records through the compiled counting-scatter."""
+        from repro.core.digits import native_pass_plan
+
+        # The engine sorts the key field of whichever word layout the
+        # pair packing selects; the partition/LSD schedule over the key
+        # bits is the same either way, so price that.
+        msd_width, inner = native_pass_plan(config.key_bits)
+        passes = (1 if msd_width else 0) + len(inner)
+        bytes_moved = 3 * passes * n * descriptor.record_bytes
+        if self.host is not None:
+            native_seconds = self.host.native_seconds(descriptor, bytes_moved)
+        else:
+            native_seconds = self._stream_seconds(descriptor, bytes_moved)
+        return PlanStep(
+            kind="native-lsd",
+            params={
+                "n": n,
+                "expected_passes": passes,
+                "msd_bits": msd_width,
+                "inner_widths": "+".join(str(w) for w in inner),
+            },
+            predicted_seconds=native_seconds,
+            bytes_moved=bytes_moved,
         )
 
     def _msd_step(

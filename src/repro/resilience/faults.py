@@ -104,8 +104,9 @@ SITES: dict[str, str] = {
         "executor registry: the multiprocess sharded engine rung"
     ),
     "engine.native": (
-        "executor registry: the compiled counting-scatter rung "
-        "(degrades to hybrid whether or not the extension exists)"
+        "executor registry: the compiled counting-scatter rung, and "
+        "every native sort of a chunk or run slice (degrades to hybrid "
+        "whether or not the extension exists)"
     ),
     "shard.scatter": (
         "sharded router: partitioning input into per-shard memory slabs"

@@ -1,13 +1,14 @@
-"""The sharded sort's reduce: a bits-space k-way merge over arrays.
+"""Fan-in and shortcuts for merging sorted in-memory runs.
 
-Shard outputs are sorted runs that happen to live in memory instead of
-on disk, so the reduce reuses the external sorter's bounded-lookahead
-merge core (:func:`repro.external.merge.drain_cursors`) with an array
-cursor in place of the file cursor.  Same comparison keys (§4.6 bits
-space, fused key|value words when the engines sorted fused), same
-run-index tie-break, therefore the same stability proof: shard-local
-stable sorts composed with this merge equal one global stable sort,
-record for record.
+Shard outputs and §5 chunk runs are sorted runs that live in memory
+instead of on disk.  They merge through the external sorter's
+bounded-lookahead core (:func:`repro.external.merge.merge_records`,
+array cursors over :func:`~repro.external.merge.drain_cursors`).  Same
+comparison keys (§4.6 bits space, fused key|value words when the
+engines sorted fused), same run-index tie-break, therefore the same
+stability proof: run-local stable sorts composed with this merge equal
+one global stable sort, record for record.  This module adds only the
+two things an in-memory reduce needs on top.
 
 Merge **fan-in** follows the multiway-mergesort accounting of
 Gowanlock et al. (arXiv:1702.07961): a fan-in of ``F`` keeps ``F + 1``
@@ -27,10 +28,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pairs import fused_packable
 from repro.errors import ConfigurationError
 from repro.external.format import FileLayout
-from repro.external.merge import _comparison_keys, drain_cursors
+from repro.external.merge import comparison_keys, merge_records, merges_fused
 
 __all__ = [
     "DEFAULT_MERGE_BUDGET",
@@ -47,65 +47,6 @@ DEFAULT_MERGE_BUDGET = 64 << 20
 #: argsort amortises Python overhead, small enough that dozens of
 #: cursors fit the default budget.
 DEFAULT_BLOCK_RECORDS = 64 << 10
-
-
-class _ArrayCursor:
-    """The :class:`~repro.external.merge._RunCursor` surface over an
-    in-memory sorted run (no file, no CRC — the array is authoritative).
-    """
-
-    def __init__(
-        self,
-        records: np.ndarray,
-        layout: FileLayout,
-        block_records: int,
-        fused: bool,
-    ) -> None:
-        self._all = records
-        self._layout = layout
-        self._block = max(1, int(block_records))
-        self._fused = fused
-        self._next = 0
-        self._records = records[:0]
-        self._ckeys = np.empty(0, dtype=np.uint64)
-
-    @property
-    def pending(self) -> bool:
-        return self._next < self._all.size
-
-    @property
-    def buffered(self) -> int:
-        return self._ckeys.size
-
-    @property
-    def head(self):
-        return self._ckeys[0]
-
-    @property
-    def last(self):
-        return self._ckeys[-1]
-
-    def refill(self) -> None:
-        if self._ckeys.size or self._next >= self._all.size:
-            return
-        take = min(self._block, self._all.size - self._next)
-        records = self._all[self._next:self._next + take]
-        self._next += take
-        self._records = records
-        self._ckeys = _comparison_keys(self._layout, records, self._fused)
-
-    def split_below(self, bound) -> int:
-        return int(np.searchsorted(self._ckeys, bound, side="left"))
-
-    def split_through(self, bound) -> int:
-        return int(np.searchsorted(self._ckeys, bound, side="right"))
-
-    def take(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        records = self._records[:count]
-        ckeys = self._ckeys[:count]
-        self._records = self._records[count:]
-        self._ckeys = self._ckeys[count:]
-        return records, ckeys
 
 
 def choose_fan_in(
@@ -136,8 +77,8 @@ def _boundary_keys(
     for run in runs:
         if run.size == 0:
             continue
-        first = _comparison_keys(layout, run[:1], fused)[0]
-        last = _comparison_keys(layout, run[-1:], fused)[0]
+        first = comparison_keys(layout, run[:1], fused)[0]
+        last = comparison_keys(layout, run[-1:], fused)[0]
         bounds.append((first, last))
     return bounds
 
@@ -152,28 +93,6 @@ def _is_ordered_disjoint(bounds: list[tuple]) -> bool:
         if first < prev_last:
             return False
     return True
-
-
-def _merge_once(
-    runs: list[np.ndarray],
-    layout: FileLayout,
-    fused: bool,
-    block_records: int,
-) -> np.ndarray:
-    total = sum(int(r.size) for r in runs)
-    out = np.empty(total, dtype=layout.storage_dtype)
-    pos = 0
-
-    def emit(records: np.ndarray) -> None:
-        nonlocal pos
-        out[pos:pos + records.size] = records
-        pos += records.size
-
-    cursors = [
-        _ArrayCursor(run, layout, block_records, fused) for run in runs
-    ]
-    drain_cursors(cursors, emit)
-    return out
 
 
 def merge_shard_records(
@@ -195,11 +114,7 @@ def merge_shard_records(
     """
     if fan_in is not None and fan_in < 2:
         raise ConfigurationError("fan_in must be >= 2")
-    fused = (
-        pair_packing == "fused"
-        and layout.is_pairs
-        and fused_packable(layout.key_bits, layout.value_bits)
-    )
+    fused = merges_fused(layout, pair_packing)
     runs = [np.ascontiguousarray(r) for r in runs]
     if not runs:
         return np.empty(0, dtype=layout.storage_dtype)
@@ -211,9 +126,9 @@ def merge_shard_records(
             len(runs), layout.record_bytes, block_records, merge_budget
         )
         if take >= len(runs):
-            return _merge_once(runs, layout, fused, block_records)
+            return merge_records(runs, layout, block_records, fused)
         runs = [
-            _merge_once(runs[i:i + take], layout, fused, block_records)
+            merge_records(runs[i:i + take], layout, block_records, fused)
             for i in range(0, len(runs), take)
         ]
     return runs[0]

@@ -5,9 +5,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.keys import to_sortable_bits
 from repro.cost.calibration import Calibration
 from repro.errors import ConfigurationError
+from repro.external.format import FileLayout
 from repro.hetero.merge import CpuMergeModel, kway_merge, kway_merge_pairs
+from repro.shard.merge import merge_shard_records
+
+PAIRS64 = FileLayout(np.uint64, np.uint64)
+
+
+def merge_pairs(key_runs, value_runs, block_records=2):
+    """The bits-space array merge over (key, value) runs.
+
+    Tiny blocks make every merge cross block boundaries.
+    """
+    runs = [PAIRS64.to_records(k, v) for k, v in zip(key_runs, value_runs)]
+    merged = merge_shard_records(runs, PAIRS64, block_records=block_records)
+    return PAIRS64.to_columns(merged)
 
 
 class TestKwayMerge:
@@ -39,6 +54,23 @@ class TestKwayMerge:
         merged[0] = 999
         assert a[0] != 999
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_specials_merge_in_bits_order(self, dtype):
+        # NaNs after +inf, -0.0 before +0.0: the engines' total order,
+        # not the order raw float comparisons give.
+        specials = np.array(
+            [np.nan, -np.inf, 0.0, -0.0, 1.5, np.inf, -2.0, 0.0, -0.0],
+            dtype=dtype,
+        )
+        runs = [
+            part[to_sortable_bits(part).argsort(kind="stable")]
+            for part in (specials[:4], specials[4:])
+        ]
+        merged = kway_merge(runs)
+        whole = np.concatenate(runs)
+        expected = whole[np.argsort(to_sortable_bits(whole), kind="stable")]
+        assert merged.tobytes() == expected.tobytes()
+
 
 class TestKwayMergePairs:
     def test_values_follow_keys(self, rng):
@@ -60,6 +92,30 @@ class TestKwayMergePairs:
         mk, mv = kway_merge_pairs([], [])
         assert mk.size == 0
         assert mv.size == 0
+
+    @pytest.mark.parametrize(
+        "value_dtype",
+        [np.int16, np.bool_, np.float32, np.complex128, np.object_],
+    )
+    def test_any_value_dtype_rides_along(self, value_dtype):
+        key_runs = [np.array([1, 4], np.uint32), np.array([2, 4], np.uint32)]
+        value_runs = [
+            np.array([10, 11]).astype(value_dtype),
+            np.array([20, 21]).astype(value_dtype),
+        ]
+        mk, mv = kway_merge_pairs(key_runs, value_runs)
+        assert mk.tolist() == [1, 2, 4, 4]
+        expected = np.array([10, 20, 11, 21]).astype(value_dtype)
+        assert mv.dtype == np.dtype(value_dtype)
+        assert mv.tobytes() == expected.tobytes()
+
+    def test_fused_packing_ties_by_value_bits(self):
+        key_runs = [np.array([7, 7], np.uint32), np.array([7], np.uint32)]
+        value_runs = [np.array([5, 9], np.uint32), np.array([6], np.uint32)]
+        _, plain = kway_merge_pairs(key_runs, value_runs)
+        _, fused = kway_merge_pairs(key_runs, value_runs, pair_packing="fused")
+        assert plain.tolist() == [5, 9, 6]  # run order
+        assert fused.tolist() == [5, 6, 9]  # value-bits order
 
 
 class TestCpuMergeModel:
@@ -91,11 +147,12 @@ class TestCpuMergeModel:
 
 
 class TestStabilityContract:
-    """The documented contract: equal keys come out in run order.
+    """The documented contract of the bits-space array merge: equal
+    keys come out in run order.
 
-    The external sorter's byte-identity guarantee composes run-local
-    stable sorts with this merge; if the tie-break ever changes, these
-    must fail.
+    The chunked, external and sharded sorts' byte-identity guarantee
+    composes run-local stable sorts with this merge; if the tie-break
+    ever changes, these must fail.
     """
 
     def test_equal_keys_preserve_run_order(self):
@@ -110,7 +167,7 @@ class TestStabilityContract:
             np.array([20, 21], dtype=np.uint64),
             np.array([30, 31], dtype=np.uint64),
         ]
-        mk, mv = kway_merge_pairs(key_runs, value_runs)
+        mk, mv = merge_pairs(key_runs, value_runs)
         assert mk.tolist() == [3, 7, 7, 7, 7, 7, 9]
         # All run-0 sevens, then run-1's, then run-2's — in-run order kept.
         assert mv.tolist() == [10, 11, 12, 20, 30, 31, 21]
@@ -126,7 +183,7 @@ class TestStabilityContract:
             order = np.argsort(keys[lo:hi], kind="stable")
             key_runs.append(keys[lo:hi][order])
             value_runs.append(values[lo:hi][order])
-        mk, mv = kway_merge_pairs(key_runs, value_runs)
+        mk, mv = merge_pairs(key_runs, value_runs, block_records=64)
         order = np.argsort(keys, kind="stable")
         assert np.array_equal(mk, keys[order])
         assert np.array_equal(mv, values[order])
@@ -144,5 +201,5 @@ class TestStabilityContract:
             np.empty(0, dtype=np.uint64),
             np.array([200], dtype=np.uint64),
         ]
-        mk, mv = kway_merge_pairs(key_runs, value_runs)
+        mk, mv = merge_pairs(key_runs, value_runs)
         assert mv.tolist() == [100, 200]
