@@ -123,7 +123,7 @@ def cmd_sort(args) -> int:
             file=sys.stderr,
         )
     try:
-        if args.engine in ("hybrid", "adaptive", "native"):
+        if args.engine in ("hybrid", "native"):
             # The planner-routed engines: plan, then execute.
             import repro
 
@@ -136,9 +136,7 @@ def cmd_sort(args) -> int:
                     workers=args.workers,
                     pair_packing=args.packing,
                 )
-            if args.engine == "adaptive":
-                result = AdaptiveSorter().sort(keys, values)
-            elif args.engine == "native":
+            if args.engine == "native":
                 from repro.plan import InputDescriptor, Planner
                 from repro.plan.executors import execute_plan
 
@@ -481,7 +479,7 @@ def cmd_plan(args) -> int:
                 memory_budget=budget,
                 workers=args.workers,
             )
-        plan = Planner(adaptive=args.adaptive).plan(descriptor)
+        plan = Planner().plan(descriptor)
     except FileNotFoundError as exc:
         raise SystemExit(f"error: {exc}")
     except ReproError as exc:
@@ -670,11 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="host threads the plan may fan work across",
-    )
-    p_plan.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="apply the §6.1 small-input fallback policy",
     )
     p_plan.set_defaults(func=cmd_plan)
 

@@ -8,12 +8,14 @@ function parameter, we could easily default to CUB's sorting algorithm
 using a simple case distinction for small inputs that fall short of
 these thresholds."
 
-:class:`AdaptiveSorter` implements exactly that, as a thin facade over
-the shared planner: the case distinction itself lives in
-:class:`repro.plan.planner.Planner` (``adaptive=True``), this class
-plans each input and dispatches the plan through the executor registry.
-The thresholds default to the paper's measured crossovers and can be
-recalibrated for other devices with :func:`calibrate_crossover`.
+:class:`AdaptiveSorter` implements exactly that on the simulated Titan
+X: inputs below the crossover sort with the simulated CUB LSD baseline
+(:class:`~repro.baselines.cub.CubRadixSort`), the rest go through
+:func:`repro.sort` / :func:`repro.sort_pairs`.  The case distinction is
+a claim about the paper's device, so it stays here rather than in the
+production planner.  The thresholds default to the paper's measured
+crossovers and can be recalibrated for other devices with
+:func:`calibrate_crossover`.
 """
 
 from __future__ import annotations
@@ -22,14 +24,8 @@ import numpy as np
 
 from repro.baselines.cub import CubRadixSort
 from repro.core.config import SortConfig
+from repro.errors import ConfigurationError
 from repro.gpu.spec import GPUSpec, TITAN_X_PASCAL
-from repro.plan.descriptor import InputDescriptor
-from repro.plan.executors import execute_plan
-from repro.plan.planner import (
-    PAPER_CROSSOVER_KEYS,
-    PAPER_CROSSOVER_PAIRS,
-    Planner,
-)
 from repro.types import SortResult
 
 __all__ = [
@@ -38,6 +34,12 @@ __all__ = [
     "PAPER_CROSSOVER_PAIRS",
     "calibrate_crossover",
 ]
+
+#: §6.1: the hybrid sort wins beyond 1.9 M keys on any distribution.
+PAPER_CROSSOVER_KEYS = 1_900_000
+
+#: §6.1: ... and beyond 1.6 M key-value pairs.
+PAPER_CROSSOVER_PAIRS = 1_600_000
 
 
 class AdaptiveSorter:
@@ -50,6 +52,8 @@ class AdaptiveSorter:
         defaults are the paper's measured worst-case crossovers.
     config:
         Optional hybrid-sort configuration override.
+    spec:
+        Device the LSD baseline simulates.
     """
 
     def __init__(
@@ -59,40 +63,33 @@ class AdaptiveSorter:
         config: SortConfig | None = None,
         spec: GPUSpec = TITAN_X_PASCAL,
     ) -> None:
-        self.planner = Planner(
-            config=config,
-            adaptive=True,
-            key_crossover=key_crossover,
-            pair_crossover=pair_crossover,
-        )
+        if key_crossover < 0 or pair_crossover < 0:
+            raise ConfigurationError("crossovers must be non-negative")
+        self.key_crossover = key_crossover
+        self.pair_crossover = pair_crossover
         self.spec = spec
         self._config = config
 
-    @property
-    def key_crossover(self) -> int:
-        return self.planner.key_crossover
-
-    @property
-    def pair_crossover(self) -> int:
-        return self.planner.pair_crossover
-
     def chooses_hybrid(self, n: int, has_values: bool) -> bool:
-        """The case distinction itself (delegated to the planner)."""
-        return self.planner.chooses_hybrid(n, has_values)
+        """The case distinction itself: hybrid at or above the crossover."""
+        threshold = self.pair_crossover if has_values else self.key_crossover
+        return n >= threshold
 
     def sort(
         self, keys: np.ndarray, values: np.ndarray | None = None
     ) -> SortResult:
-        """Plan (dispatching on input size), then execute the plan."""
+        """Sort with the LSD baseline below the crossover, else plan and
+        execute through :func:`repro.sort` / :func:`repro.sort_pairs`."""
+        import repro
+
         keys = np.asarray(keys)
-        descriptor = InputDescriptor.for_array(
-            keys,
-            values,
-            workers=1 if self._config is None else self._config.workers,
-            spec=self.spec,
-        )
-        plan = self.planner.plan(descriptor)
-        return execute_plan(plan, keys=keys, values=values, config=self._config)
+        if not self.chooses_hybrid(keys.size, values is not None):
+            result = CubRadixSort("1.5.1", spec=self.spec).sort(keys, values)
+            result.meta["engine"] = "cub-fallback"
+            return result
+        if values is None:
+            return repro.sort(keys, config=self._config)
+        return repro.sort_pairs(keys, values, config=self._config)
 
 
 def calibrate_crossover(

@@ -48,23 +48,18 @@ from repro._util import concatenated_aranges, segment_ids_from_sizes
 from repro.core.bucket import PartitionOutcome, partition_subbuckets
 from repro.core.config import SortConfig
 from repro.core.counting_sort import counting_sort_pass
-from repro.core.keys import (
-    bits_dtype_for,
-    from_sortable_bits,
-    to_sortable_bits,
-)
+from repro.core.keys import from_sortable_bits, to_sortable_bits
 from repro.core.local_sort import LocalSortEngine
 from repro.core.pairs import (
-    fused_packable,
-    index_packable,
     join_words64,
     pack_key_index,
     pack_key_value,
+    packing_mode,
+    resolve_config,
     split_words64,
     unpack_key_index,
     unpack_key_value,
 )
-from repro.errors import ConfigurationError
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.kernel import KernelLaunch, LaunchConfig
 from repro.parallel import ExecutionContext, get_context
@@ -129,17 +124,13 @@ class HybridRadixSorter:
         arrays, the execution trace, and the simulated duration.
         """
         keys = np.asarray(keys)
-        if keys.ndim != 1:
-            raise ConfigurationError("keys must be one-dimensional")
         if values is not None:
             values = np.asarray(values)
-            if values.shape != keys.shape:
-                raise ConfigurationError("values must parallel keys")
-        config = self._resolve_config(keys, values)
+        config = resolve_config(self.config, keys, values)
         ctx = get_context(config.workers)
 
         bits = to_sortable_bits(keys)
-        mode = self._packing_mode(config, bits.size, values)
+        mode = packing_mode(config, bits.size, values)
         if mode == "decomposed":
             trace, sorted_bits, sorted_values = self._sort_bits(
                 bits, values, config, ctx
@@ -174,51 +165,6 @@ class HybridRadixSorter:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _resolve_config(
-        self, keys: np.ndarray, values: np.ndarray | None
-    ) -> SortConfig:
-        key_bits = bits_dtype_for(keys.dtype).itemsize * 8
-        value_bits = 0 if values is None else values.dtype.itemsize * 8
-        if self.config is None:
-            return SortConfig.for_layout(key_bits, value_bits)
-        if self.config.key_bits != key_bits:
-            raise ConfigurationError(
-                f"config is for {self.config.key_bits}-bit keys; "
-                f"got {key_bits}-bit input"
-            )
-        if self.config.value_bits != value_bits:
-            raise ConfigurationError(
-                f"config is for {self.config.value_bits}-bit values; "
-                f"got {value_bits}-bit input"
-            )
-        return self.config
-
-    def _packing_mode(
-        self, config: SortConfig, n: int, values: np.ndarray | None
-    ) -> str:
-        """Which pair engine this sort runs.
-
-        ``"decomposed"`` is the classic two-array pipeline (keys-only
-        inputs, ``pair_packing="off"``, unpackable layouts, and trivial
-        sizes); ``"index"``/``"split"``/``"fused"`` are the packed
-        fast paths.
-        """
-        if values is None or n <= 1 or config.pair_packing == "off":
-            return "decomposed"
-        if config.pair_packing == "fused":
-            if not fused_packable(config.key_bits, config.value_bits):
-                raise ConfigurationError(
-                    "pair_packing='fused' requires "
-                    "key_bits + value_bits <= 64"
-                )
-            return "fused"
-        # "auto" and "index": the bit-identical index payload.
-        if index_packable(config.key_bits, n):
-            return "index"
-        if config.key_bits == 64:
-            return "split"
-        return "decomposed"
-
     def _resolve_cost_model(self):
         if self._cost_model is None:
             from repro.cost.model import CostModel

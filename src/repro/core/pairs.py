@@ -26,8 +26,8 @@ needs its own gather.  Two packings exist:
   but records with equal keys order by their value bits rather than by
   input position; opt-in via ``SortConfig(pair_packing="fused")``.
 
-``SortConfig.pair_packing`` selects among them (dispatch lives in
-``HybridRadixSorter._packing_mode``):
+``SortConfig.pair_packing`` selects among them (:func:`packing_mode`
+is the one dispatch rule every in-memory tier follows):
 
 ``"auto"`` (default)
     Index-pack whenever a bit-identical packed layout exists
@@ -61,9 +61,13 @@ import sys
 
 import numpy as np
 
+from repro.core.config import SortConfig
+from repro.core.keys import bits_dtype_for
 from repro.errors import ConfigurationError
 
 __all__ = [
+    "resolve_config",
+    "packing_mode",
     "make_records",
     "decompose",
     "recompose",
@@ -151,6 +155,68 @@ def decompose(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def recompose(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Inverse of :func:`decompose`."""
     return make_records(keys, values)
+
+
+# ----------------------------------------------------------------------
+# The layout rule every in-memory tier shares
+# ----------------------------------------------------------------------
+def resolve_config(
+    config: SortConfig | None, keys: np.ndarray, values: np.ndarray | None
+) -> SortConfig:
+    """Check a sort's input shapes and resolve its configuration.
+
+    ``keys`` must be one-dimensional and ``values`` (when given)
+    parallel to it.  Returns ``config`` after checking it describes the
+    input's key/value widths, or the Table 3 preset for the layout when
+    ``config`` is ``None``.
+    """
+    if keys.ndim != 1:
+        raise ConfigurationError("keys must be one-dimensional")
+    if values is not None and values.shape != keys.shape:
+        raise ConfigurationError("values must parallel keys")
+    key_bits = bits_dtype_for(keys.dtype).itemsize * 8
+    value_bits = 0 if values is None else values.dtype.itemsize * 8
+    if config is None:
+        return SortConfig.for_layout(key_bits, value_bits)
+    if config.key_bits != key_bits:
+        raise ConfigurationError(
+            f"config is for {config.key_bits}-bit keys; "
+            f"got {key_bits}-bit input"
+        )
+    if config.value_bits != value_bits:
+        raise ConfigurationError(
+            f"config is for {config.value_bits}-bit values; "
+            f"got {value_bits}-bit input"
+        )
+    return config
+
+
+def packing_mode(
+    config: SortConfig, n: int, values: np.ndarray | None
+) -> str:
+    """Which pair layout a sort of ``n`` records runs.
+
+    ``"decomposed"`` is the two-array pipeline (keys-only inputs,
+    ``pair_packing="off"``, unpackable layouts, and trivial sizes);
+    ``"index"``/``"split"``/``"fused"`` are the packed fast paths.
+    Every in-memory tier dispatches on this one rule, which is what
+    keeps their outputs byte-identical.
+    """
+    if values is None or n <= 1 or config.pair_packing == "off":
+        return "decomposed"
+    if config.pair_packing == "fused":
+        if not fused_packable(config.key_bits, config.value_bits):
+            raise ConfigurationError(
+                "pair_packing='fused' requires "
+                "key_bits + value_bits <= 64"
+            )
+        return "fused"
+    # "auto" and "index": the bit-identical index payload.
+    if index_packable(config.key_bits, n):
+        return "index"
+    if config.key_bits == 64:
+        return "split"
+    return "decomposed"
 
 
 # ----------------------------------------------------------------------

@@ -97,7 +97,7 @@ class HostCostModel:
         return bytes_moved / bw
 
     def local_sort_seconds(self, n: int) -> float:
-        """One stable sort of ``n`` records (local-sort / LSD fallback)."""
+        """One stable sort of ``n`` records (a local-sort step)."""
         return max(1, n) / self.profile.local_sort_keys_per_s
 
     def spill_seconds(self, total_bytes: int) -> float:

@@ -15,8 +15,8 @@ the constants on the host that will actually execute the plans:
   ``bytes_moved / bandwidth`` is exact at the probe size;
 * the native compiled tier (when the extension loads) through its
   ``3·passes·n·record_bytes`` formula;
-* the stable-argsort rate that prices local sorts and the LSD
-  fallback, and the pack/unpack bandwidth of the pair-packing layer;
+* the stable-argsort rate that prices local sorts, and the
+  pack/unpack bandwidth of the pair-packing layer;
 * the external sorter's run-spill and streaming k-way-merge rates;
 * thread (``workers=``) and shard-process (``shards=``) speedup
   factors at ×2, extrapolated linearly per extra worker up to the CPU
@@ -417,8 +417,8 @@ def probe_native(n: int, repeats: int, rng: np.random.Generator) -> dict:
 
 
 def probe_local_sort(n: int, repeats: int, rng: np.random.Generator) -> dict:
-    """Stable-argsort rate (keys/s) — prices local sorts and the LSD
-    fallback, the two strategies that are one NumPy sort call."""
+    """Stable-argsort rate (keys/s) — prices local-sort steps, which
+    are one NumPy sort call."""
     keys = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32)
     seconds = _best_seconds(
         lambda: keys[np.argsort(keys, kind="stable")], repeats

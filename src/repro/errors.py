@@ -89,8 +89,8 @@ class EngineFailedError(ReproError):
     its own retry budget); surfaced to the caller with the per-rung
     failure trail in ``args`` and the last underlying exception as
     ``__cause__``.  A *single* engine failure never raises this — the
-    executor falls down the declared ladder (hybrid → LSD fallback →
-    NumPy stable oracle) first and records the downgrade in
+    executor falls down the declared ladder (native → hybrid → NumPy
+    oracle) first and records the downgrade in
     ``result.meta["resilience"]``.
     """
 

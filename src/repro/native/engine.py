@@ -2,8 +2,9 @@
 
 The engine mirrors :class:`repro.core.hybrid_sort.HybridRadixSorter`'s
 public surface (``sort(keys, values)`` → :class:`SortResult`) and its
-pair-layout dispatch exactly, but executes every counting pass in the
-compiled C kernels of :mod:`repro.native.build`:
+pair-layout rule (:func:`repro.core.pairs.packing_mode`), but executes
+every counting pass in the compiled C kernels of
+:mod:`repro.native.build`:
 
 ``keys only``
     Bit patterns (via the §4.6 bijection) sort in place through the
@@ -38,16 +39,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import SortConfig
-from repro.core.keys import (
-    bits_dtype_for,
-    from_sortable_bits,
-    to_sortable_bits,
-)
+from repro.core.keys import from_sortable_bits, to_sortable_bits
 from repro.core.pairs import (
-    fused_packable,
-    index_packable,
     pack_key_index,
     pack_key_value,
+    packing_mode,
+    resolve_config,
     unpack_key_index,
     unpack_key_value,
 )
@@ -90,13 +87,9 @@ class NativeRadixEngine:
         supported dtype, layout, and ``pair_packing`` policy.
         """
         keys = np.asarray(keys)
-        if keys.ndim != 1:
-            raise ConfigurationError("keys must be one-dimensional")
         if values is not None:
             values = np.asarray(values)
-            if values.shape != keys.shape:
-                raise ConfigurationError("values must parallel keys")
-        config = self._resolve_config(keys, values)
+        config = resolve_config(self.config, keys, values)
         if config.sort_bits is not None:
             # The hybrid engine's partial-range semantics depend on
             # which buckets happen to take a (whole-key-comparing)
@@ -107,7 +100,7 @@ class NativeRadixEngine:
                 "the native tier does not support explicit sort_bits"
             )
         bits = to_sortable_bits(keys)
-        mode = self._packing_mode(config, bits.size, values)
+        mode = packing_mode(config, bits.size, values)
 
         if bits.size <= 1:
             return self._result(
@@ -161,46 +154,6 @@ class NativeRadixEngine:
         else:
             out_keys = from_sortable_bits(sorted_bits, keys.dtype)
         return self._result(out_keys, sorted_values, config, mode)
-
-    # ------------------------------------------------------------------
-    # Layout dispatch (mirrors HybridRadixSorter)
-    # ------------------------------------------------------------------
-    def _resolve_config(
-        self, keys: np.ndarray, values: np.ndarray | None
-    ) -> SortConfig:
-        key_bits = bits_dtype_for(keys.dtype).itemsize * 8
-        value_bits = 0 if values is None else values.dtype.itemsize * 8
-        if self.config is None:
-            return SortConfig.for_layout(key_bits, value_bits)
-        if self.config.key_bits != key_bits:
-            raise ConfigurationError(
-                f"config is for {self.config.key_bits}-bit keys; "
-                f"got {key_bits}-bit input"
-            )
-        if self.config.value_bits != value_bits:
-            raise ConfigurationError(
-                f"config is for {self.config.value_bits}-bit values; "
-                f"got {value_bits}-bit input"
-            )
-        return self.config
-
-    def _packing_mode(
-        self, config: SortConfig, n: int, values: np.ndarray | None
-    ) -> str:
-        if values is None or n <= 1 or config.pair_packing == "off":
-            return "decomposed"
-        if config.pair_packing == "fused":
-            if not fused_packable(config.key_bits, config.value_bits):
-                raise ConfigurationError(
-                    "pair_packing='fused' requires "
-                    "key_bits + value_bits <= 64"
-                )
-            return "fused"
-        if index_packable(config.key_bits, n):
-            return "index"
-        if config.key_bits == 64:
-            return "split"
-        return "decomposed"
 
     def _result(
         self,

@@ -15,6 +15,7 @@ keeps the planner refactor bit-identical to the pre-planner behaviour
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -151,7 +152,8 @@ def sort_on_tier(
     return result
 
 
-def _execute_hybrid(
+def _execute_in_memory(
+    tier: str,
     plan: SortPlan,
     keys: np.ndarray,
     values: np.ndarray | None = None,
@@ -159,25 +161,15 @@ def _execute_hybrid(
     device=None,
     **_: object,
 ) -> SortResult:
+    """One whole-array sort on ``tier`` (:func:`sort_on_tier`).
+
+    Registered once per tier rather than reading ``plan.strategy``:
+    as a ladder rung, the hybrid executor also runs plans made for a
+    rung above it.
+    """
     result = sort_on_tier(
-        "hybrid", keys, values, _merged_config(plan, config), device
+        tier, keys, values, _merged_config(plan, config), device
     )
-    result.meta["plan"] = plan
-    return result
-
-
-def _execute_fallback(
-    plan: SortPlan,
-    keys: np.ndarray,
-    values: np.ndarray | None = None,
-    **_: object,
-) -> SortResult:
-    from repro.baselines.cub import CubRadixSort
-
-    result = CubRadixSort("1.5.1", spec=plan.descriptor.spec).sort(
-        keys, values
-    )
-    result.meta["engine"] = "cub-fallback"
     result.meta["plan"] = plan
     return result
 
@@ -269,50 +261,56 @@ def _execute_sharded(
     )
 
 
-def _execute_native(
-    plan: SortPlan,
-    keys: np.ndarray,
-    values: np.ndarray | None = None,
-    config=None,
-    device=None,
-    **_: object,
-) -> SortResult:
-    """The compiled counting-scatter tier (:mod:`repro.native`).
-
-    Top rung of the in-memory ladder: byte-identical to ``hybrid`` by
-    construction (property-pinned in ``tests/native/``), just compiled.
-    A missing extension or a failed kernel call degrades inline to the
-    hybrid engine (:func:`sort_on_tier`).  The native engine models no
-    device and reports no simulated time.
-    """
-    result = sort_on_tier(
-        "native", keys, values, _merged_config(plan, config), device
-    )
-    result.meta["plan"] = plan
-    return result
-
-
 def _execute_oracle(
     plan: SortPlan,
     keys: np.ndarray,
     values: np.ndarray | None = None,
+    config=None,
     **_: object,
 ) -> SortResult:
-    """The last rung of the degradation ladder: NumPy's stable sort.
+    """The last rung of the degradation ladder: one NumPy sort.
 
-    Sorts in §4.6 bits space (the engines' total order — NaNs after
-    +inf, ``-0.0`` before ``+0.0``) with a stable argsort, so its
-    output is byte-identical to every radix engine above it.  It
-    models no device and reports no simulated time; its one job is to
-    always produce the correct answer when faster rungs have failed.
+    Sorts the words the engines sort, chosen by the same layout rule
+    (:func:`repro.core.pairs.packing_mode`), so its output is
+    byte-identical to every rung above it:
+
+    * keys only — ``np.sort`` of the §4.6 sortable bits.  The bits are
+      a bijection of the record bytes, so equal keys are identical
+      records and stability cannot show;
+    * fused pairs — ``np.sort`` of the key|value word, then unpack
+      (equal keys order by value bits, as in the engines);
+    * every other pair layout — a stable argsort of the key bits, the
+      order the engines' row-index payload encodes.
+
+    It models no device and reports no simulated time; its one job is
+    to always produce the correct answer when faster rungs have failed.
     """
-    from repro.core.keys import to_sortable_bits
+    from repro.core.keys import from_sortable_bits, to_sortable_bits
+    from repro.core.pairs import (
+        pack_key_value,
+        packing_mode,
+        resolve_config,
+        unpack_key_value,
+    )
 
     keys = np.asarray(keys)
-    order = np.argsort(to_sortable_bits(keys), kind="stable")
+    if values is not None:
+        values = np.asarray(values)
+    config = resolve_config(config, keys, values)
+    bits = to_sortable_bits(keys)
+    if values is None:
+        sorted_bits, sorted_values = np.sort(bits), None
+    elif packing_mode(config, bits.size, values) == "fused":
+        packed = pack_key_value(bits, values, config.key_bits)
+        sorted_bits, sorted_values = unpack_key_value(
+            np.sort(packed), config.key_bits, values.dtype
+        )
+    else:
+        order = np.argsort(bits, kind="stable")
+        sorted_bits, sorted_values = bits[order], values[order]
     return SortResult(
-        keys=keys[order],
-        values=None if values is None else np.asarray(values)[order],
+        keys=from_sortable_bits(sorted_bits, keys.dtype),
+        values=sorted_values,
         simulated_seconds=0.0,
         meta={"engine": "numpy-oracle", "plan": plan},
     )
@@ -320,12 +318,11 @@ def _execute_oracle(
 
 #: The registry the facades use.  Extend it to plug in new engines.
 DEFAULT_REGISTRY = ExecutorRegistry()
-DEFAULT_REGISTRY.register("hybrid", _execute_hybrid)
-DEFAULT_REGISTRY.register("fallback", _execute_fallback)
+DEFAULT_REGISTRY.register("native", partial(_execute_in_memory, "native"))
+DEFAULT_REGISTRY.register("hybrid", partial(_execute_in_memory, "hybrid"))
 DEFAULT_REGISTRY.register("hetero", _execute_hetero)
 DEFAULT_REGISTRY.register("external", _execute_external)
 DEFAULT_REGISTRY.register("sharded", _execute_sharded)
-DEFAULT_REGISTRY.register("native", _execute_native)
 DEFAULT_REGISTRY.register("oracle", _execute_oracle)
 
 

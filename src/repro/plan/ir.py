@@ -1,8 +1,8 @@
 """The sort-plan intermediate representation.
 
 A :class:`SortPlan` is an ordered sequence of :class:`PlanStep` records
-— ``local-sort``, ``hybrid-msd``, ``lsd-fallback``, ``chunked-pipeline``,
-``spill-runs``, ``kway-merge`` — each annotated with sizing facts and a
+— ``local-sort``, ``hybrid-msd``, ``native-lsd``, ``chunked-pipeline``,
+``spill-runs``, ``kway-merge``, the ``shard-*`` steps — each annotated with sizing facts and a
 predicted cost.  The plan is *inspectable* (``explain()``, the
 ``repro plan`` CLI verb), *serialisable* (``to_dict()`` — what the
 bench harness records), and *executable* (the executor registry in
@@ -22,7 +22,6 @@ __all__ = ["PlanStep", "SortPlan", "STEP_KINDS"]
 STEP_KINDS = MappingProxyType({
     "local-sort": "one in-cache local sort of the whole input",
     "hybrid-msd": "MSD hybrid radix sort passes (§4)",
-    "lsd-fallback": "LSD baseline for small inputs (§6.1)",
     "chunked-pipeline": "budgeted chunks through the §5 pipeline",
     "spill-runs": "memory-budgeted sorted runs spilled to disk",
     "kway-merge": "k-way merge of sorted runs",
@@ -80,9 +79,8 @@ class SortPlan:
     descriptor:
         The :class:`~repro.plan.descriptor.InputDescriptor` planned for.
     strategy:
-        Which executor family runs the plan: ``"hybrid"``,
-        ``"fallback"``, ``"hetero"``, ``"external"``, or
-        ``"sharded"``.
+        Which executor family runs the plan: ``"native"``,
+        ``"hybrid"``, ``"hetero"``, ``"external"``, or ``"sharded"``.
     engine:
         Human-readable engine name (class that executes the plan).
     steps:

@@ -1,8 +1,7 @@
 """The planner: one strategy decision for every engine in the repo.
 
 Before this layer existed, each engine re-derived the paper's
-plan-before-sorting decision privately: ``AdaptiveSorter`` owned the
-§6.1 small-input crossover, ``HeterogeneousSorter`` and
+plan-before-sorting decision privately: ``HeterogeneousSorter`` and
 ``ExternalSorter`` each invoked the §5 budget accounting
 (:func:`repro.hetero.chunking.plan_chunks` /
 :func:`repro.external.runs.plan_runs`) on their own, and the
@@ -15,20 +14,21 @@ absorbs all of those decisions into a single code path that maps an
   (the out-of-core realisation of §5, executed by ``ExternalSorter``);
 * **arrays that exceed the memory budget** run the §5 chunked pipeline
   (three-buffer in-place replacement accounting, Figure 5);
-* **small arrays under an adaptive policy** fall back to the LSD
-  baseline (§6.1's case distinction — the crossover constants live
-  here and ``AdaptiveSorter`` delegates to them);
-* **everything else** is one in-memory hybrid MSD sort (§4), planned
-  as a single ``local-sort`` step when the whole input fits one
-  on-chip sort.
+* **everything else** is one in-memory sort: the compiled native tier
+  for large inputs when it is available, otherwise the hybrid MSD sort
+  (§4), planned as a single ``local-sort`` step when the whole input
+  fits one on-chip sort.
+
+The §6.1 small-input case distinction is a statement about the
+simulated Titan X and its CUB baseline; it lives with
+:class:`~repro.core.adaptive.AdaptiveSorter`, not here.
 
 Planning never touches input data: every decision is a function of the
 descriptor alone, so plans are deterministic, cheap, and serialisable.
 Cost annotations come from three tiers, best available wins — the
 paper-anchored models (:class:`~repro.core.analytical.AnalyticalModel`
-pass counts, the LSD baseline's
-:class:`~repro.cost.model.LSDCostPreset` pricing, the §5 pipeline
-simulation, :class:`~repro.hetero.merge.CpuMergeModel`), a measured
+pass counts, the §5 pipeline simulation,
+:class:`~repro.hetero.merge.CpuMergeModel`), a measured
 :class:`~repro.cost.hostprofile.HostProfile` from ``repro calibrate``
 when one exists, and per-signature measured-execute feedback
 (:class:`~repro.cost.feedback.CostFeedback`) when a service supplies
@@ -53,17 +53,9 @@ from repro.plan.ir import PlanStep, SortPlan
 
 __all__ = [
     "Planner",
-    "PAPER_CROSSOVER_KEYS",
-    "PAPER_CROSSOVER_PAIRS",
     "HOST_DISK_BANDWIDTH",
     "NATIVE_MIN_KEYS",
 ]
-
-#: §6.1: the hybrid sort wins beyond 1.9 M keys on any distribution.
-PAPER_CROSSOVER_KEYS = 1_900_000
-
-#: §6.1: ... and beyond 1.6 M key-value pairs.
-PAPER_CROSSOVER_PAIRS = 1_600_000
 
 #: Below this record count the native tier's fixed costs (FFI call,
 #: bijection copies, result re-view) rival the sort itself and the
@@ -105,14 +97,6 @@ class Planner:
         Optional :class:`~repro.core.config.SortConfig` override for
         the in-memory engine; the Table 3 preset for the layout
         otherwise.
-    adaptive:
-        Apply the §6.1 small-input case distinction (what
-        :class:`~repro.core.adaptive.AdaptiveSorter` enables).  Off by
-        default so the plain facade reproduces the classic hybrid
-        behaviour bit for bit.
-    key_crossover / pair_crossover:
-        The adaptive thresholds; defaults are the paper's measured
-        worst-case crossovers.
     in_place_replacement:
         Chunk-buffer accounting for budgeted plans: three buffers with
         the Figure 5 layout, four without.
@@ -144,24 +128,16 @@ class Planner:
     def __init__(
         self,
         config: SortConfig | None = None,
-        adaptive: bool = False,
-        key_crossover: int = PAPER_CROSSOVER_KEYS,
-        pair_crossover: int = PAPER_CROSSOVER_PAIRS,
         in_place_replacement: bool = True,
         native: str = "auto",
         profile: HostProfile | str | None = "auto",
         feedback=None,
     ) -> None:
-        if key_crossover < 0 or pair_crossover < 0:
-            raise ConfigurationError("crossovers must be non-negative")
         if native not in ("auto", "never", "always"):
             raise ConfigurationError(
                 "native must be 'auto', 'never', or 'always'"
             )
         self.config = config
-        self.adaptive = adaptive
-        self.key_crossover = key_crossover
-        self.pair_crossover = pair_crossover
         self.in_place_replacement = in_place_replacement
         self.native = native
         if profile == "auto":
@@ -181,11 +157,6 @@ class Planner:
     # ------------------------------------------------------------------
     # The strategy decision
     # ------------------------------------------------------------------
-    def chooses_hybrid(self, n: int, has_values: bool) -> bool:
-        """§6.1's case distinction (the logic AdaptiveSorter delegates to)."""
-        threshold = self.pair_crossover if has_values else self.key_crossover
-        return n >= threshold
-
     def fits_in_memory(self, descriptor: InputDescriptor) -> bool:
         """Whether the input plus its double buffer fits the budget.
 
@@ -221,10 +192,6 @@ class Planner:
             return self.plan_sharded(descriptor)
         if not self.fits_in_memory(descriptor):
             return self.plan_chunked(descriptor)
-        if self.adaptive and not self.chooses_hybrid(
-            descriptor.n, descriptor.has_values
-        ):
-            return self._plan_fallback(descriptor)
         use_native, note = self._native_choice(descriptor)
         if use_native:
             return self._plan_native(descriptor, note)
@@ -342,50 +309,6 @@ class Planner:
                 f"counting-scatter with write-combined MSD partition"
             ),
             notes=(note,),
-            cost_source=self._cost_source,
-            profile_fingerprint=self._fingerprint,
-        )
-
-    def _plan_fallback(self, descriptor: InputDescriptor) -> SortPlan:
-        from repro.baselines.cub import CubRadixSort
-
-        fallback = CubRadixSort("1.5.1", spec=descriptor.spec)
-        key_bytes = descriptor.key_dtype.itemsize
-        value_bytes = (
-            0
-            if descriptor.value_dtype is None
-            else descriptor.value_dtype.itemsize
-        )
-        passes = fallback.preset.passes_for(descriptor.key_bits)
-        if self.host is not None:
-            # The executed fallback is one stable NumPy sort on this
-            # host, not a simulated GPU LSD — price it as such.
-            fallback_seconds = self.host.local_sort_seconds(descriptor.n)
-        else:
-            fallback_seconds = fallback.simulated_seconds(
-                descriptor.n, key_bytes, value_bytes
-            )
-        step = PlanStep(
-            kind="lsd-fallback",
-            params={"n": descriptor.n, "passes": passes,
-                    "baseline": fallback.preset.name},
-            predicted_seconds=fallback_seconds,
-            bytes_moved=3 * passes * descriptor.total_bytes,
-        )
-        threshold = (
-            self.pair_crossover
-            if descriptor.has_values
-            else self.key_crossover
-        )
-        return SortPlan(
-            descriptor=descriptor,
-            strategy="fallback",
-            engine="CubRadixSort",
-            steps=(step,),
-            reason=(
-                f"{descriptor.n:,} records fall short of the §6.1 "
-                f"crossover ({threshold:,}); LSD baseline wins"
-            ),
             cost_source=self._cost_source,
             profile_fingerprint=self._fingerprint,
         )

@@ -7,7 +7,7 @@ Four pieces, layered bottom-up:
 * :mod:`repro.resilience.policy` — :class:`Deadline` propagation and
   :class:`RetryPolicy` jittered exponential backoff;
 * :mod:`repro.resilience.degrade` — the engine-degradation ladder
-  (hybrid → LSD fallback → NumPy stable oracle) behind
+  (native → hybrid → NumPy oracle) behind
   :func:`resilient_execute`;
 * :mod:`repro.resilience.chaos` — the scenario runner behind the
   ``repro chaos`` CLI verb: every declared fault site, one fault at a

@@ -34,6 +34,7 @@ import tempfile
 import numpy as np
 
 from repro.errors import ReproError
+from repro.resilience.degrade import fallback_chain
 from repro.resilience.faults import SITES, FaultPlan, FaultSpec, inject
 
 __all__ = ["add_chaos_args", "default_schedule", "execute", "run_chaos"]
@@ -71,6 +72,20 @@ def default_schedule(sites=None) -> list[tuple[str, str]]:
             kinds.append("hang")
         schedule.extend((site, kind) for kind in kinds)
     return schedule
+
+
+def _rungs_above(site: str) -> tuple[str, ...]:
+    """The in-memory ladder rungs that run before ``site``'s rung.
+
+    A deeper rung is only reachable once every rung above it is
+    failing, so a scenario pins those failures persistently for the
+    target site to execute.  Read off the longest in-memory chain
+    (:func:`~repro.resilience.degrade.fallback_chain` of a ``native``
+    plan); rungs the planned strategy never runs are never hit.
+    """
+    chain = fallback_chain("native")
+    rung = site.removeprefix("engine.")
+    return chain[: chain.index(rung)] if rung in chain else ()
 
 
 def _keys(n: int, seed: int) -> np.ndarray:
@@ -178,15 +193,10 @@ def _service_scenario(site: str, kind: str, n: int, seed: int) -> dict:
                 )
                 data = inp
                 workdir = nonlocal_dir
-            # Deeper ladder rungs are only reachable once every rung
-            # above them is failing; pin those failures persistently so
-            # the target site actually executes.
-            specs = []
-            if site == "engine.fallback":
-                specs.append(FaultSpec(site="engine.hybrid", times=-1))
-            elif site == "engine.oracle":
-                specs.append(FaultSpec(site="engine.hybrid", times=-1))
-                specs.append(FaultSpec(site="engine.fallback", times=-1))
+            specs = [
+                FaultSpec(site=f"engine.{rung}", times=-1)
+                for rung in _rungs_above(site)
+            ]
             specs.append(FaultSpec(site=site, kind=kind, delay=30.0))
             try:
                 with inject(FaultPlan(specs)) as plan:

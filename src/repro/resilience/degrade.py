@@ -4,18 +4,20 @@ A planned engine raising mid-flight should cost the caller *speed*,
 not *the answer*.  :func:`resilient_execute` wraps the executor
 registry with a declared **engine ladder** — by default
 
-    hybrid  →  fallback (LSD)  →  oracle (NumPy stable sort)
+    hybrid  →  oracle (one NumPy sort)
 
-— and walks a failing plan down it.  Every rung is a registered
-executor producing bit-identical output for in-memory inputs (each
-layer's oracle property tests pin that), so degradation is invisible
-in the bytes; it is visible, deliberately, in
-``result.meta["resilience"]``:
+below whatever the plan chose (a ``native`` plan walks native → hybrid
+→ oracle) — and walks a failing plan down it.  Every rung is a
+registered executor that follows the same layout rule
+(:func:`repro.core.pairs.packing_mode`) and so produces byte-identical
+output for in-memory inputs (each layer's oracle property tests pin
+that); degradation is invisible in the bytes and visible,
+deliberately, in ``result.meta["resilience"]``:
 
-    {"requested": "hybrid", "executed": "oracle",
+    {"requested": "native", "executed": "oracle",
      "retries": 1,
-     "downgrades": [{"engine": "hybrid", "error": "TransientError: ..."},
-                    {"engine": "fallback", "error": "..."}]}
+     "downgrades": [{"engine": "native", "error": "TransientError: ..."},
+                    {"engine": "hybrid", "error": "..."}]}
 
 Per-rung, a :class:`~repro.resilience.policy.RetryPolicy` may retry
 transient failures before the rung is abandoned — "retry the fast
@@ -51,9 +53,8 @@ __all__ = [
 ]
 
 #: The declared degradation order for in-memory work: the paper's
-#: hybrid engine, then the LSD fallback (the §6.1 small-input engine),
-#: then the pure-NumPy stable-sort oracle that can always answer.
-DEFAULT_LADDER = ("hybrid", "fallback", "oracle")
+#: hybrid engine, then the pure-NumPy oracle that can always answer.
+DEFAULT_LADDER = ("hybrid", "oracle")
 
 #: Failures no ladder rung can fix: deterministic caller errors and
 #: expired deadlines re-raise immediately instead of degrading.
@@ -71,9 +72,9 @@ def fallback_chain(
 
     The planned strategy always runs first; in-memory strategies then
     append the declared ladder (minus rungs already tried) — a
-    ``"native"`` plan therefore walks native → hybrid → fallback →
-    oracle without the ladder itself naming the compiled tier (a
-    *hybrid* plan must never escalate upward to it).
+    ``"native"`` plan therefore walks native → hybrid → oracle without
+    the ladder itself naming the compiled tier (a *hybrid* plan must
+    never escalate upward to it).
     ``external`` plans never change engine — a file sort's fallback is
     resume-from-manifest, not a different executor.
     """

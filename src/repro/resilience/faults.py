@@ -93,11 +93,10 @@ SITES: dict[str, str] = {
         "(supports slow/hang for watchdog testing)"
     ),
     "engine.hybrid": "executor registry: the hybrid MSD engine rung",
-    "engine.fallback": "executor registry: the LSD fallback engine rung",
     "engine.hetero": "executor registry: the chunked §5 pipeline rung",
     "engine.external": "executor registry: the out-of-core engine rung",
     "engine.oracle": (
-        "executor registry: the NumPy stable-sort oracle rung "
+        "executor registry: the NumPy oracle rung "
         "(the ladder's last resort)"
     ),
     "engine.sharded": (

@@ -37,7 +37,7 @@ __all__ = ["BATCHABLE_STRATEGIES", "batch_configs", "execute_batch"]
 #: Planned strategies the batch path may stand in for: the in-memory
 #: whole-array sorts.  Chunked/external plans carry per-request
 #: budgeting the shared dispatch has no equivalent of.
-BATCHABLE_STRATEGIES = ("hybrid", "fallback")
+BATCHABLE_STRATEGIES = ("hybrid",)
 
 #: Smallest configuration capacity of the generated ladder.
 _MIN_CONFIG = 32

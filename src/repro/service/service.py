@@ -119,8 +119,8 @@ class SortService:
         :func:`~repro.resilience.degrade.resilient_execute`).  ``None``
         disables retries.
     degradation:
-        Walk failing in-memory plans down the engine ladder (hybrid →
-        LSD fallback → NumPy oracle) instead of failing the request;
+        Walk failing in-memory plans down the engine ladder (native →
+        hybrid → NumPy oracle) instead of failing the request;
         downgrades are recorded in ``result.meta["resilience"]`` and
         counted in ``stats.fallbacks``.
     watchdog_timeout:

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro.core.adaptive import (
     AdaptiveSorter,
     PAPER_CROSSOVER_KEYS,
@@ -22,6 +25,12 @@ class TestDispatch:
         assert sorter.chooses_hybrid(2_000_000, has_values=False)
         assert not sorter.chooses_hybrid(1_500_000, has_values=True)
         assert sorter.chooses_hybrid(1_700_000, has_values=True)
+
+    def test_chooses_hybrid_uses_per_kind_crossover(self):
+        sorter = AdaptiveSorter(key_crossover=500, pair_crossover=700)
+        for n in (0, 499, 500, 501, 699, 700, 10_000):
+            assert sorter.chooses_hybrid(n, False) == (n >= 500)
+            assert sorter.chooses_hybrid(n, True) == (n >= 700)
 
     def test_threshold_constants(self):
         # §6.1: 1.9 M keys / 1.6 M pairs.
@@ -62,15 +71,7 @@ class TestDispatch:
 
 
 class TestPlannerDispatch:
-    """The §6.1 case distinction now lives in the shared planner."""
-
-    def test_chooses_hybrid_delegates_to_planner(self):
-        sorter = AdaptiveSorter(key_crossover=500, pair_crossover=700)
-        for n in (0, 499, 500, 501, 699, 700, 10_000):
-            assert sorter.chooses_hybrid(n, False) == sorter.planner.chooses_hybrid(n, False)
-            assert sorter.chooses_hybrid(n, True) == sorter.planner.chooses_hybrid(n, True)
-            assert sorter.chooses_hybrid(n, False) == (n >= 500)
-            assert sorter.chooses_hybrid(n, True) == (n >= 700)
+    """At or above the crossover the sort is planned by ``repro.sort``."""
 
     def test_sort_records_the_plan(self, rng):
         keys = uniform_keys(2_000, 32, rng)
@@ -79,14 +80,63 @@ class TestPlannerDispatch:
         assert plan.strategy == "hybrid"
         assert plan.descriptor.n == 2_000
 
-    def test_crossover_constants_reexported(self):
-        from repro.plan import (
-            PAPER_CROSSOVER_KEYS as planner_keys,
-            PAPER_CROSSOVER_PAIRS as planner_pairs,
-        )
 
-        assert PAPER_CROSSOVER_KEYS == planner_keys
-        assert PAPER_CROSSOVER_PAIRS == planner_pairs
+class TestAdaptiveDispatchProperty:
+    """The executed engine is exactly ``chooses_hybrid`` (§6.1)."""
+
+    @given(
+        n=st.integers(0, 3_000),
+        crossover=st.integers(0, 3_000),
+        has_values=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_strategy_equals_case_distinction(self, n, crossover, has_values):
+        keys = ((np.arange(n, dtype=np.uint64) * 2654435761) % 1000).astype(
+            np.uint32
+        )
+        values = np.arange(n, dtype=np.uint32) if has_values else None
+        sorter = AdaptiveSorter(key_crossover=crossover, pair_crossover=crossover)
+        assert sorter.chooses_hybrid(n, has_values) == (n >= crossover)
+        result = sorter.sort(keys, values)
+        if n >= crossover:
+            assert result.meta["plan"].strategy == "hybrid"
+        else:
+            assert result.meta["engine"] == "cub-fallback"
+        # Both engines are stable, so they agree byte for byte.
+        if has_values:
+            expected = repro.sort_pairs(keys, values)
+            assert result.values.tobytes() == expected.values.tobytes()
+        else:
+            expected = repro.sort(keys)
+        assert result.keys.tobytes() == expected.keys.tobytes()
+
+    def test_crossover_boundary_is_inclusive(self):
+        sorter = AdaptiveSorter()
+        assert sorter.chooses_hybrid(PAPER_CROSSOVER_KEYS, False)
+        assert not sorter.chooses_hybrid(PAPER_CROSSOVER_KEYS - 1, False)
+        assert sorter.chooses_hybrid(PAPER_CROSSOVER_PAIRS, True)
+        assert not sorter.chooses_hybrid(PAPER_CROSSOVER_PAIRS - 1, True)
+        keys = np.arange(1_000, dtype=np.uint32)[::-1]
+        at = AdaptiveSorter(key_crossover=1_000, pair_crossover=1_000)
+        below = AdaptiveSorter(key_crossover=1_001, pair_crossover=1_001)
+        assert at.sort(keys).meta["engine"] == "hybrid"
+        assert below.sort(keys).meta["engine"] == "cub-fallback"
+        assert at.sort(keys, keys).meta["engine"] == "hybrid"
+        assert below.sort(keys, keys).meta["engine"] == "cub-fallback"
+
+    def test_negative_crossover_rejected(self):
+        with pytest.raises(ConfigurationError):
+            AdaptiveSorter(pair_crossover=-1)
+
+    def test_production_planner_never_picks_the_baseline(self, rng):
+        # §6.1's distinction is the adaptive sorter's alone: the plain
+        # facade plans the same small input onto an in-memory engine.
+        keys = uniform_keys(100_000, 32, rng)
+        adaptive = AdaptiveSorter().sort(keys)
+        assert adaptive.meta["engine"] == "cub-fallback"
+        plain = repro.sort(keys, native="never")
+        assert plain.meta["plan"].strategy == "hybrid"
+        assert adaptive.keys.tobytes() == plain.keys.tobytes()
 
 
 class TestCalibration:

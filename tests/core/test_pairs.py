@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import repro
-from repro.core.pairs import decompose, make_records, record_dtype, recompose
+from repro.core.config import SortConfig
+from repro.core.pairs import (
+    decompose,
+    make_records,
+    packing_mode,
+    record_dtype,
+    recompose,
+    resolve_config,
+)
 from repro.errors import ConfigurationError
 
 
@@ -57,3 +67,32 @@ class TestSortRecords:
         records = make_records(keys, values)
         result = repro.sort_records(records)
         assert np.array_equal(result.keys, np.sort(keys))
+
+
+class TestLayoutRule:
+    """The one layout rule every in-memory tier dispatches on."""
+
+    def test_packing_mode_table(self):
+        values = np.zeros(10, dtype=np.uint32)
+        pairs32 = SortConfig.for_layout(32, 32)
+        pairs64 = SortConfig.for_layout(64, 32)
+        assert packing_mode(SortConfig.for_layout(32), 10, None) == "decomposed"
+        assert packing_mode(pairs32, 1, values[:1]) == "decomposed"
+        assert packing_mode(pairs32, 10, values) == "index"
+        assert packing_mode(pairs64, 10, values) == "split"
+        off = replace(pairs32, pair_packing="off")
+        fused = replace(pairs32, pair_packing="fused")
+        assert packing_mode(off, 10, values) == "decomposed"
+        assert packing_mode(fused, 10, values) == "fused"
+        with pytest.raises(ConfigurationError, match="fused"):
+            packing_mode(replace(pairs64, pair_packing="fused"), 10, values)
+
+    def test_resolve_config_checks_the_input(self):
+        keys = np.zeros(4, dtype=np.float64)
+        assert resolve_config(None, keys, None) == SortConfig.for_layout(64)
+        with pytest.raises(ConfigurationError, match="one-dimensional"):
+            resolve_config(None, keys.reshape(2, 2), None)
+        with pytest.raises(ConfigurationError, match="parallel"):
+            resolve_config(None, keys, np.zeros(3, dtype=np.uint32))
+        with pytest.raises(ConfigurationError, match="32-bit keys"):
+            resolve_config(SortConfig.for_layout(32), keys, None)

@@ -142,13 +142,11 @@ class TestExecutorDegradation:
 
 class TestLadder:
     def test_native_plans_walk_down_to_numpy(self):
-        assert fallback_chain("native") == (
-            "native", "hybrid", "fallback", "oracle",
-        )
+        assert fallback_chain("native") == ("native", "hybrid", "oracle")
 
     def test_default_ladder_never_escalates_to_native(self):
         assert "native" not in DEFAULT_LADDER
-        assert fallback_chain("hybrid") == ("hybrid", "fallback", "oracle")
+        assert fallback_chain("hybrid") == ("hybrid", "oracle")
 
 
 class TestFacadeKnob:

@@ -101,7 +101,6 @@ class TestAdaptiveOracle:
             oracle = CubRadixSort("1.5.1").sort(keys)
             assert result.meta["engine"] == "cub-fallback"
         assert np.array_equal(result.keys, oracle.keys)
-        assert result.meta["plan"].strategy in ("hybrid", "fallback")
 
 
 class TestHeteroOracle:
@@ -198,6 +197,5 @@ class TestRegistry:
         assert execute_plan(plan, registry=registry) == "custom"
         assert "hybrid" in DEFAULT_REGISTRY.strategies()
         assert set(DEFAULT_REGISTRY.strategies()) == {
-            "hybrid", "fallback", "hetero", "external", "oracle", "sharded",
-            "native",
+            "hybrid", "hetero", "external", "oracle", "sharded", "native",
         }

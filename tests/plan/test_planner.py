@@ -12,16 +12,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.external.format import FileLayout
 from repro.external.runs import plan_runs
 from repro.hetero.chunking import plan_chunks
 from repro.plan import (
-    PAPER_CROSSOVER_KEYS,
-    PAPER_CROSSOVER_PAIRS,
     InputDescriptor,
     Planner,
     PlanStep,
@@ -86,13 +82,6 @@ class TestStrategyChoice:
         desc = InputDescriptor(n=100, key_dtype=np.uint32)
         plan = Planner().plan(desc)
         assert [s.kind for s in plan.steps] == ["local-sort"]
-
-    def test_adaptive_small_input_falls_back(self):
-        desc = InputDescriptor(n=100_000, key_dtype=np.uint32)
-        assert Planner(native="never").plan(desc).strategy == "hybrid"
-        plan = Planner(adaptive=True, native="never").plan(desc)
-        assert plan.strategy == "fallback"
-        assert [s.kind for s in plan.steps] == ["lsd-fallback"]
 
     def test_budget_overflow_plans_chunked_pipeline(self):
         desc = InputDescriptor(
@@ -172,45 +161,6 @@ class TestBudgetLogicUnification:
         desc = InputDescriptor(n=0, key_dtype=np.uint32)
         with pytest.raises(ConfigurationError):
             Planner().plan_chunked(desc)
-
-
-class TestAdaptiveDispatchProperty:
-    """Planner dispatch reproduces ``chooses_hybrid`` exactly (§6.1)."""
-
-    @given(
-        n=st.integers(0, 4_000_000),
-        has_values=st.booleans(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_strategy_equals_case_distinction(self, n, has_values):
-        planner = Planner(adaptive=True, native="never")
-        desc = InputDescriptor(
-            n=n,
-            key_dtype=np.uint32,
-            value_dtype=np.uint32 if has_values else None,
-        )
-        plan = planner.plan(desc)
-        expected_hybrid = planner.chooses_hybrid(n, has_values)
-        assert (plan.strategy == "hybrid") == expected_hybrid
-        assert (plan.strategy == "fallback") == (not expected_hybrid)
-
-    def test_crossover_boundary_is_inclusive(self):
-        planner = Planner(adaptive=True, native="never")
-        at = InputDescriptor(n=PAPER_CROSSOVER_KEYS, key_dtype=np.uint32)
-        below = InputDescriptor(
-            n=PAPER_CROSSOVER_KEYS - 1, key_dtype=np.uint32
-        )
-        assert planner.plan(at).strategy == "hybrid"
-        assert planner.plan(below).strategy == "fallback"
-        pairs_at = InputDescriptor(
-            n=PAPER_CROSSOVER_PAIRS, key_dtype=np.uint32,
-            value_dtype=np.uint32,
-        )
-        assert planner.plan(pairs_at).strategy == "hybrid"
-
-    def test_negative_crossover_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Planner(key_crossover=-1)
 
 
 class TestPlanIR:

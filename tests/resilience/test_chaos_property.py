@@ -20,6 +20,7 @@ from repro.resilience.chaos import (
     WRITE_SITES,
     _external_scenario,
     _native_scenario,
+    _rungs_above,
     _service_scenario,
     _shard_scenario,
     default_schedule,
@@ -74,6 +75,21 @@ class TestScheduleShape:
     def test_site_filter(self):
         only = default_schedule(["engine.hybrid"])
         assert only == [("engine.hybrid", "error")]
+
+
+class TestLadderPins:
+    def test_pins_are_the_rungs_above_on_the_ladder(self):
+        assert _rungs_above("engine.native") == ()
+        assert _rungs_above("engine.hybrid") == ("native",)
+        assert _rungs_above("engine.oracle") == ("native", "hybrid")
+        assert _rungs_above("engine.hetero") == ()
+
+    def test_oracle_scenario_degrades_past_one_rung(self):
+        # A small uint32 input plans on ``hybrid``; with the hybrid rung
+        # pinned down the next rung is the oracle itself.
+        result = _service_scenario("engine.oracle", "error", n=3_000, seed=0)
+        assert result["ok"], result
+        assert result["detail"] == "executed on 'oracle' after 1 downgrade(s)"
 
 
 def assert_contained(result: dict) -> None:

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import asyncio
+from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.core.config import SortConfig
+from repro.core.keys import bits_dtype_for
 
 from repro.errors import (
     ConfigurationError,
@@ -13,13 +22,14 @@ from repro.errors import (
     TransientError,
     UnsupportedDtypeError,
 )
-from repro.plan import ExecutorRegistry
+from repro.plan import ExecutorRegistry, InputDescriptor, Planner
+from repro.plan.planner import NATIVE_MIN_KEYS
 from repro.resilience.degrade import (
     DEFAULT_LADDER,
     fallback_chain,
     resilient_execute,
 )
-from repro.resilience.faults import FaultPlan, inject
+from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.resilience.policy import Deadline, RetryPolicy
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
@@ -42,17 +52,13 @@ def registry_with(**engines) -> ExecutorRegistry:
 
 class TestFallbackChain:
     def test_planned_strategy_runs_first_then_ladder(self):
-        assert fallback_chain("hybrid") == ("hybrid", "fallback", "oracle")
-        assert fallback_chain("hetero") == (
-            "hetero", "hybrid", "fallback", "oracle"
-        )
+        assert fallback_chain("hybrid") == ("hybrid", "oracle")
+        assert fallback_chain("hetero") == ("hetero", "hybrid", "oracle")
 
     def test_native_walks_down_but_is_never_escalated_to(self):
         # A native plan degrades through every NumPy rung; a hybrid
         # plan must never walk *up* into the compiled tier.
-        assert fallback_chain("native") == (
-            "native", "hybrid", "fallback", "oracle"
-        )
+        assert fallback_chain("native") == ("native", "hybrid", "oracle")
         assert "native" not in fallback_chain("hybrid")
 
     def test_external_never_changes_engine(self):
@@ -108,14 +114,14 @@ class TestResilientExecute:
             plan_for("hybrid"),
             registry=registry_with(
                 hybrid=broken,
-                fallback=lambda plan, **io: ok_result("fb"),
+                oracle=lambda plan, **io: ok_result("or"),
             ),
             report=report,
         )
-        assert result.tag == "fb"
+        assert result.tag == "or"
         resilience = result.meta["resilience"]
         assert resilience["requested"] == "hybrid"
-        assert resilience["executed"] == "fallback"
+        assert resilience["executed"] == "oracle"
         assert [d["engine"] for d in resilience["downgrades"]] == ["hybrid"]
         assert report["downgrades"] == resilience["downgrades"]
 
@@ -126,9 +132,7 @@ class TestResilientExecute:
         with pytest.raises(EngineFailedError, match="every engine rung") as e:
             resilient_execute(
                 plan_for("hybrid"),
-                registry=registry_with(
-                    hybrid=broken, fallback=broken, oracle=broken
-                ),
+                registry=registry_with(hybrid=broken, oracle=broken),
             )
         assert isinstance(e.value.__cause__, TransientError)
 
@@ -152,7 +156,7 @@ class TestResilientExecute:
         with pytest.raises(type(exc)):
             resilient_execute(
                 plan_for("hybrid"),
-                registry=registry_with(hybrid=broken, fallback=fb),
+                registry=registry_with(hybrid=broken, oracle=fb),
             )
         assert not fallback_ran  # degrading cannot fix a caller bug
 
@@ -176,11 +180,11 @@ class TestResilientExecute:
         def broken(plan, **io):
             raise TransientError("down")
 
-        # fallback is unregistered; the ladder should step over it.
+        # hybrid is unregistered; the ladder should step over it.
         result = resilient_execute(
-            plan_for("hybrid"),
+            plan_for("hetero"),
             registry=registry_with(
-                hybrid=broken, oracle=lambda plan, **io: ok_result("or")
+                hetero=broken, oracle=lambda plan, **io: ok_result("or")
             ),
         )
         assert result.tag == "or"
@@ -200,18 +204,25 @@ class TestResilientExecute:
         # The chaos suite relies on engine.<rung> firing inside
         # resilient_execute for every rung it can reach.
         registry = registry_with(
+            native=lambda plan, **io: ok_result("na"),
             hybrid=lambda plan, **io: ok_result("hy"),
-            fallback=lambda plan, **io: ok_result("fb"),
             oracle=lambda plan, **io: ok_result("or"),
         )
         with inject(
-            FaultPlan.single("engine.hybrid", times=-1)
+            FaultPlan([
+                FaultSpec(site="engine.native", times=-1),
+                FaultSpec(site="engine.hybrid", times=-1),
+            ])
         ):
             result = resilient_execute(
-                plan_for("hybrid"), registry=registry
+                plan_for("native"), registry=registry
             )
-        assert result.tag == "fb"
-        assert result.meta["resilience"]["executed"] == "fallback"
+        assert result.tag == "or"
+        resilience = result.meta["resilience"]
+        assert resilience["executed"] == "oracle"
+        assert [d["engine"] for d in resilience["downgrades"]] == [
+            "native", "hybrid",
+        ]
 
     def test_default_ladder_matches_registered_oracle(self):
         # The real registry must know every default rung, or the
@@ -220,3 +231,128 @@ class TestResilientExecute:
 
         for rung in DEFAULT_LADDER:
             assert DEFAULT_REGISTRY.executor_for(rung) is not None
+
+
+# ----------------------------------------------------------------------
+# The oracle rung against the engines it stands in for
+# ----------------------------------------------------------------------
+FUSED = replace(SortConfig.for_layout(32, 32), pair_packing="fused")
+IN_MEMORY_DTYPES = (
+    np.uint32, np.uint64, np.int32, np.int64, np.float32, np.float64,
+)
+FLOAT_SPECIALS = (np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0)
+RUNGS_ABOVE_ORACLE = [
+    FaultSpec(site="engine.native", times=-1),
+    FaultSpec(site="engine.hybrid", times=-1),
+]
+
+
+def same_bytes(got, want) -> bool:
+    if want is None:
+        return got is None
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def submit_to_service(keys, values, config, planner=None):
+    from repro.service import SortService
+
+    async def main():
+        async with SortService(
+            micro_batching=False, planner=planner
+        ) as service:
+            return await service.submit(keys, values=values, config=config)
+
+    return asyncio.run(main())
+
+
+class TestOracleRungByteIdentity:
+    def test_fused_request_degrades_to_the_engines_order(self):
+        # Fused pairs tie by value bits; a stable argsort on the key
+        # bits alone returns most values in a different order.
+        rng = np.random.default_rng(1)
+        keys = rng.integers(0, 50, 4096).astype(np.uint32)
+        values = rng.integers(0, 1 << 32, 4096, dtype=np.uint64).astype(
+            np.uint32
+        )
+        expected = repro.sort_pairs(keys, values, config=FUSED)
+        with inject(FaultPlan.single("engine.hybrid", times=-1)):
+            result = submit_to_service(keys, values, FUSED)
+        assert result.meta["resilience"]["executed"] == "oracle"
+        assert same_bytes(result.keys, expected.keys)
+        assert same_bytes(result.values, expected.values)
+
+    def test_native_planned_fused_request_degrades_to_the_oracle(self):
+        rng = np.random.default_rng(2)
+        n = NATIVE_MIN_KEYS + 1000
+        keys = rng.integers(0, 1000, n).astype(np.uint32)
+        values = rng.integers(0, 1 << 32, n, dtype=np.uint64).astype(
+            np.uint32
+        )
+        expected = repro.sort_pairs(keys, values, config=FUSED)
+        with inject(FaultPlan(RUNGS_ABOVE_ORACLE)):
+            result = submit_to_service(
+                keys, values, FUSED, planner=Planner(native="always")
+            )
+        resilience = result.meta["resilience"]
+        assert resilience["requested"] == "native"
+        assert resilience["executed"] == "oracle"
+        assert [d["engine"] for d in resilience["downgrades"]] == [
+            "native", "hybrid",
+        ]
+        assert same_bytes(result.keys, expected.keys)
+        assert same_bytes(result.values, expected.values)
+
+    @given(
+        dtype=st.sampled_from(IN_MEMORY_DTYPES),
+        packing=st.sampled_from(("auto", "index", "off", "fused")),
+        value_dtype=st.sampled_from((None, np.uint32, np.float32, np.uint64)),
+        n=st.one_of(st.integers(0, 300), st.integers(300, 5000)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_oracle_rung_matches_the_facades(
+        self, dtype, packing, value_dtype, n, seed
+    ):
+        dtype = np.dtype(dtype)
+        key_bits = dtype.itemsize * 8
+        if value_dtype is not None:
+            value_dtype = np.dtype(value_dtype)
+            if packing == "fused" and key_bits + value_dtype.itemsize * 8 > 64:
+                value_dtype = None  # no fused word exists for the layout
+        rng = np.random.default_rng(seed)
+        # Few distinct keys, so ties (where layouts differ) are common.
+        if dtype.kind == "f":
+            pool = np.concatenate(
+                (rng.standard_normal(20), FLOAT_SPECIALS)
+            ).astype(dtype)
+            keys = rng.choice(pool, n)
+        else:
+            info = np.iinfo(dtype)
+            pool = rng.integers(info.min, info.max, 30, dtype=dtype,
+                                endpoint=True)
+            keys = rng.choice(pool, n)
+        values = None
+        if value_dtype is not None:
+            # Arbitrary bit patterns, NaN payloads included.
+            raw = rng.integers(0, 1 << 63, n, dtype=np.uint64)
+            values = raw.astype(bits_dtype_for(value_dtype)).view(value_dtype)
+        config = replace(
+            SortConfig.for_layout(
+                key_bits, 0 if values is None else values.itemsize * 8
+            ),
+            pair_packing=packing,
+        )
+        if values is None:
+            expected = repro.sort(keys, config=config)
+        else:
+            expected = repro.sort_pairs(keys, values, config=config)
+        plan = Planner(native="always").plan(
+            InputDescriptor.for_array(keys, values)
+        )
+        with inject(FaultPlan(RUNGS_ABOVE_ORACLE)):
+            result = resilient_execute(
+                plan, keys=keys, values=values, config=config
+            )
+        assert result.meta["resilience"]["executed"] == "oracle"
+        assert same_bytes(result.keys, expected.keys)
+        assert same_bytes(result.values, expected.values)

@@ -23,12 +23,6 @@ class TestPlanResidentBytes:
         assert plan.strategy == "hybrid"
         assert plan_resident_bytes(plan) == BUFFERS_IN_PLACE * 4000
 
-    def test_fallback_charges_three_buffers(self):
-        desc = InputDescriptor(n=1000, key_dtype=np.uint32)
-        plan = Planner(adaptive=True).plan(desc)
-        assert plan.strategy == "fallback"
-        assert plan_resident_bytes(plan) == BUFFERS_IN_PLACE * 4000
-
     def test_chunked_charges_chunks_not_input(self):
         desc = InputDescriptor(
             n=1_000_000, key_dtype=np.uint32, memory_budget=1 << 20

@@ -82,12 +82,6 @@ class TestPlanCommand:
         assert "strategy        : hetero" in out
         assert "chunked-pipeline" in out
 
-    def test_adaptive_plan_falls_back_below_crossover(self, capsys):
-        rc = main(["plan", "--n", "100000", "--adaptive"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "strategy        : fallback" in out
-
     def test_file_plan(self, tmp_path, capsys):
         data = str(tmp_path / "data.bin")
         assert main(
